@@ -16,6 +16,8 @@ from typing import Optional, Sequence
 
 from .exact import Matrix, ONE, Scalar, classify_entries, matrix_product
 
+_MINUS_ONE = Scalar(-1)
+
 
 @dataclass(frozen=True)
 class SignDiagonal:
@@ -35,7 +37,7 @@ class SignDiagonal:
         return DiagonalWitness(tuple(Scalar(s) for s in self.signs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiagonalWitness:
     """An invertible diagonal D given by its diagonal entries."""
 
@@ -58,14 +60,26 @@ class DiagonalWitness:
 
 
 def conjugate(w: DiagonalWitness, m: Matrix) -> Matrix:
-    """D m D^{-1} computed entrywise as d_i * m_ij / d_j."""
+    """D m D^{-1}, entrywise d_i * m_ij / d_j.
+
+    Each 1/d_j is formed once.  Diagonal and zero entries are kept as
+    they are, and an entry whose ratio d_i/d_j is +1 or -1 is copied or
+    negated, so sign witnesses cost no multiplications.
+    """
     if not m.is_square or m.rows != len(w.d):
         raise ValueError("witness size does not match matrix")
     n = m.rows
-    flat = []
+    d = w.d
+    neg = [-x for x in d]
+    inv = [ONE / x for x in d]
+    flat = list(m.entries)
     for i in range(n):
+        di = d[i]
         for j in range(n):
-            flat.append(w.d[i] * m.entry(i, j) / w.d[j])
+            e = flat[i * n + j]
+            if i == j or not e or di == d[j]:
+                continue
+            flat[i * n + j] = -e if di == neg[j] else di * e * inv[j]
     return Matrix(n, n, flat)
 
 
@@ -118,7 +132,7 @@ def _propagate(ms: Sequence[Matrix]) -> tuple[Scalar, ...]:
 
 def _sign_reduce(d: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
     # real case: only the signs matter, so collapse magnitudes to 1
-    return tuple(Scalar(1) if x.re > 0 else Scalar(-1) for x in d)
+    return tuple(ONE if x.re > 0 else _MINUS_ONE for x in d)
 
 
 def diag_sim_nonneg(m: Matrix) -> Optional[DiagonalWitness]:

@@ -97,13 +97,13 @@ def subset_invariance_oracle(m: Matrix) -> SubsetReport:
 # -- theorem pipelines -----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HypothesisCheck:
     holds: bool
     detail: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TheoremReport:
     theorem: str
     hypotheses: dict[str, HypothesisCheck]

@@ -2,21 +2,28 @@
 
 Scaling a matrix by a positive rational changes nothing that this
 package cares about (signs, zero patterns, diagonal similarity), so
-closures are computed projectively: every product is replaced by its
-canonical form, scaled so the largest entry magnitude component is 1.
-That keeps closures finite in the cases of interest and keeps entry
-sizes bounded.  Closures that hit a cap are marked truncated and no
-downstream check is allowed to treat them as complete.
+closures are computed projectively.  Inside, every positive-scaling
+class is represented by one projective key: the matrix's real and
+imaginary parts, interleaved, cleared of denominators and divided by
+their positive gcd.  Products of keys are plain integer arithmetic,
+and the closure is a set of keys.  At the boundary each member is
+handed out in canonical form, scaled so the largest entry magnitude
+component is 1.  That keeps closures finite in the cases of interest
+and keeps entry sizes bounded.  Closures that hit a cap are marked
+truncated and no downstream check is allowed to treat them as complete.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import (Matrix, Scalar, classify_entries, inverse,
-                    matrix_product, rank, rank_one_factor)
+from .exact import Matrix, Scalar, inverse, rank, rank_one_factor
+
+Key = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -31,17 +38,84 @@ class Caps:
             raise ValueError("caps must be positive")
 
 
+def _primitive(parts: Sequence[int]) -> Key:
+    """Divide integer parts by their positive gcd (zero stays zero)."""
+    g = math.gcd(*parts)
+    if g > 1:
+        return tuple(x // g for x in parts)
+    return tuple(parts)
+
+
+def _projective_key(m: Matrix) -> Key:
+    """The projective key of m: integer parts re, im, re, im, ...
+
+    Row major, denominators cleared, divided by the positive gcd of all
+    parts.  Two matrices of one shape get the same key exactly when one
+    is a positive rational multiple of the other.
+    """
+    parts: list[Fraction] = []
+    for e in m.entries:
+        parts.append(e.re)
+        parts.append(e.im)
+    den = math.lcm(*(x.denominator for x in parts))
+    return _primitive([x.numerator * (den // x.denominator) for x in parts])
+
+
+def _key_product(a: Key, b: Key, n: int) -> Key:
+    """Key of the product of the n x n matrices with keys a and b."""
+    out: list[int] = []
+    row_len = 2 * n
+    for i in range(0, row_len * n, row_len):
+        arow = a[i:i + row_len]
+        for j in range(0, row_len, 2):
+            re = im = 0
+            for k in range(0, row_len, 2):
+                x = arow[k]
+                y = arow[k + 1]
+                if x or y:
+                    bk = k * n + j
+                    u = b[bk]
+                    v = b[bk + 1]
+                    re += x * u - y * v
+                    im += x * v + y * u
+            out.append(re)
+            out.append(im)
+    return _primitive(out)
+
+
+def _canonical_from_key(key: Key, rows: int, cols: int,
+                        memo: dict) -> Matrix:
+    """The max-part-1 canonical matrix of a key's scaling class.
+
+    ``memo`` lets the members of one closure share equal entries.
+    """
+    top = max(map(abs, key))
+    if top == 0:
+        return Matrix.zeros(rows, cols)
+    flat = []
+    for k in range(0, len(key), 2):
+        part = (key[k], key[k + 1], top)
+        e = memo.get(part)
+        if e is None:
+            e = memo[part] = Scalar(Fraction(key[k], top),
+                                    Fraction(key[k + 1], top))
+        flat.append(e)
+    return Matrix(rows, cols, flat)
+
+
 def projective_canonical(m: Matrix) -> Matrix:
     """Scale by a positive rational so max(|re|, |im|) over entries is 1.
 
     The zero matrix is its own canonical form.
     """
-    scale = Fraction(0)
-    for e in m.entries:
-        scale = max(scale, e.max_abs_part())
-    if scale == 0:
-        return m
-    return m.scale(Scalar(1 / scale))
+    return _canonical_from_key(_projective_key(m), m.rows, m.cols, {})
+
+
+@functools.lru_cache(maxsize=4096)
+def _extend_word(word: tuple[int, ...], gi: int) -> tuple[int, ...]:
+    # Closures of similar generator sets repeat the same short words;
+    # handing out one shared tuple per word keeps retained results small.
+    return word + (gi,)
 
 
 class ProjectiveElement:
@@ -77,13 +151,24 @@ class SemigroupClosure:
     elements: tuple[ProjectiveElement, ...]
     truncated: bool
     caps: Caps
+    # projective keys of the members; derived from elements when omitted
+    keys: Optional[frozenset[Key]] = field(default=None, repr=False,
+                                           compare=False)
+
+    def __post_init__(self):
+        if self.keys is None:
+            object.__setattr__(self, "keys", frozenset(
+                _projective_key(e.canonical) for e in self.elements))
 
     def canonical_matrices(self) -> tuple[Matrix, ...]:
         return tuple(e.canonical for e in self.elements)
 
     def contains_matrix(self, m: Matrix) -> bool:
-        c = projective_canonical(m)
-        return any(e.canonical == c for e in self.elements)
+        if not self.elements:
+            return False
+        c = self.elements[0].canonical
+        return ((m.rows, m.cols) == (c.rows, c.cols)
+                and _projective_key(m) in self.keys)
 
 
 @dataclass(frozen=True)
@@ -115,44 +200,51 @@ def generate_closure(gens: Sequence[Matrix],
                      caps: Caps = Caps()) -> SemigroupClosure:
     """BFS closure under right multiplication by generators.
 
-    Multiplying canonical forms on the right by original generators
-    reaches a representative of every positive-scaling class of the
-    semigroup: scalars commute past products.  Discovery order is by
-    word length, then lexicographic word, so runs are reproducible.
-    A product that would exceed a cap marks the closure truncated and
-    is dropped.
+    Multiplying members on the right by generators reaches every
+    positive-scaling class of the semigroup: scalars commute past
+    products.  The search runs on projective keys, so each step is one
+    integer product and one gcd division; members are converted to
+    their max-part-1 canonical form once, on the way out.  Discovery
+    order is by word length, then lexicographic word, so runs are
+    reproducible.  The first product that would exceed a cap marks the
+    closure truncated and ends the search.
     """
-    _validated_generators(gens)
-    elements: dict[Matrix, ProjectiveElement] = {}
-    order: list[Matrix] = []
+    n = _validated_generators(gens)
+    gkeys = [_projective_key(g) for g in gens]
+    words: dict[Key, tuple[int, ...]] = {}
     truncated = False
-    for gi, g in enumerate(gens):
-        c = projective_canonical(g)
-        if c not in elements:
-            if len(elements) >= caps.max_elements:
+    for gi, c in enumerate(gkeys):
+        if c not in words:
+            if len(words) >= caps.max_elements:
                 truncated = True
                 continue
-            elements[c] = ProjectiveElement(c, (gi,))
-            order.append(c)
+            words[c] = _extend_word((), gi)
+    order = list(words)
     qi = 0
-    while qi < len(order):
+    while qi < len(order) and not truncated:
         u = order[qi]
         qi += 1
-        ue = elements[u]
-        extendable = len(ue.word) < caps.max_word_length
-        for gi, g in enumerate(gens):
-            c = projective_canonical(matrix_product(u, g))
-            if c in elements:
+        word = words[u]
+        extendable = len(word) < caps.max_word_length
+        for gi, g in enumerate(gkeys):
+            c = _key_product(u, g, n)
+            if c in words:
                 continue
-            if not extendable or len(elements) >= caps.max_elements:
+            if not extendable or len(words) >= caps.max_elements:
+                # Word lengths never decrease along the queue and the
+                # set never shrinks, so no later product could be kept
+                # either: the search is over.
                 truncated = True
-                continue
-            elements[c] = ProjectiveElement(c, ue.word + (gi,))
+                break
+            words[c] = _extend_word(word, gi)
             order.append(c)
+    memo: dict = {}
     return SemigroupClosure(
-        elements=tuple(elements[c] for c in order),
+        elements=tuple(ProjectiveElement(_canonical_from_key(c, n, n, memo),
+                                         words[c]) for c in order),
         truncated=truncated,
         caps=caps,
+        keys=frozenset(order),
     )
 
 
@@ -165,35 +257,55 @@ def algebra_dimension(gens: Sequence[Matrix]) -> int:
     """Dimension of the algebra spanned by the matrices and the identity.
 
     The span is grown by multiplying an echelonized basis by generators
-    on both sides until it stabilises.  Exact elimination; the value is
-    the same over any field extending the rationals because ranks of
-    rational matrices do not change under field extension.
+    on both sides until it stabilises.  Matrices enter as projective
+    keys (a positive scaling does not change a span) and elimination is
+    fraction-free over the Gaussian integers: a row is reduced by a
+    basis row with pivot p as ``p * row - x * basis_row``, where x is
+    the row's entry in the pivot column, then divided by the gcd of its
+    parts.  Multipliers are Gaussian, so the span is complex-linear.
+    The value is the same over any field extending the rationals
+    because ranks of rational matrices do not change under field
+    extension.
     """
     n = _validated_generators(gens)
     dim_target = n * n
-    basis: list[list[Scalar]] = []  # echelon rows over entries
+    gkeys = [_projective_key(g) for g in gens]
+    basis: list[tuple[int, Key]] = []  # (pivot part index, echelon row)
 
-    def try_add(m: Matrix) -> bool:
-        row = list(m.entries)
-        for e in basis:
-            lead = next(i for i, x in enumerate(e) if x)
-            if row[lead]:
-                f = row[lead] / e[lead]
-                row = [x - f * y for x, y in zip(row, e)]
-        if any(row):
-            basis.append(row)
-            return True
-        return False
+    def try_add(row: Key) -> bool:
+        for lead, e in basis:
+            x = row[lead]
+            y = row[lead + 1]
+            if x or y:
+                p = e[lead]
+                q = e[lead + 1]
+                out = []
+                for k in range(0, len(row), 2):
+                    a = row[k]
+                    b = row[k + 1]
+                    c = e[k]
+                    d = e[k + 1]
+                    out.append(p * a - q * b - x * c + y * d)
+                    out.append(p * b + q * a - x * d - y * c)
+                row = _primitive(out)
+        lead = next((k for k in range(0, len(row), 2)
+                     if row[k] or row[k + 1]), -1)
+        if lead < 0:
+            return False
+        basis.append((lead, row))
+        return True
 
-    frontier: list[Matrix] = []
-    for m in [Matrix.identity(n), *gens]:
+    identity = tuple(1 if k % (2 * n + 2) == 0 else 0
+                     for k in range(2 * n * n))
+    frontier: list[Key] = []
+    for m in [identity, *gkeys]:
         if try_add(m):
             frontier.append(m)
     while frontier and len(basis) < dim_target:
-        nxt: list[Matrix] = []
+        nxt: list[Key] = []
         for m in frontier:
-            for g in gens:
-                for prod in (matrix_product(m, g), matrix_product(g, m)):
+            for g in gkeys:
+                for prod in (_key_product(m, g, n), _key_product(g, m, n)):
                     if try_add(prod):
                         nxt.append(prod)
         frontier = nxt
@@ -228,10 +340,9 @@ def group_info(gens: Sequence[Matrix], caps: Caps = Caps(),
         closure = generate_closure(gens, caps)
     if closure.truncated:
         return GroupInfo(True, False)
-    members = {e.canonical for e in closure.elements}
     for e in closure.elements:
         # members are products of invertible generators, so inversion succeeds
-        if projective_canonical(inverse(e.canonical)) not in members:
+        if _projective_key(inverse(e.canonical)) not in closure.keys:
             return GroupInfo(True, False)
     return GroupInfo(True, True)
 

@@ -35,6 +35,38 @@ def test_conjugate_entrywise():
         conjugate(w, ones(3))
 
 
+def _entrywise(w, m):
+    n = m.rows
+    return Matrix(n, n, [w.d[i] * m.entry(i, j) / w.d[j]
+                         for i in range(n) for j in range(n)])
+
+
+def test_conjugate_gaussian_witness():
+    w = DiagonalWitness((Scalar(1), Scalar(2, 1), Scalar(0, Fraction(-3, 2)),
+                         Scalar(2, 1)))
+    m = Matrix.from_rows(
+        [[Scalar(1, 1), 2, 0, Scalar(0, 5)],
+         [Fraction(1, 3), 0, Scalar(-1, 2), 7],
+         [0, Scalar(3, -1), 4, Fraction(-1, 2)],
+         [Scalar(0, 1), -3, 1, Scalar(2, 2)]])
+    got = conjugate(w, m)
+    assert got == _entrywise(w, m)
+    assert got.entry(1, 3) == m.entry(1, 3)  # d_1 = d_3
+    assert not got.entry(0, 2)
+
+
+def test_conjugate_sign_witness_and_zeros():
+    rng = random.Random(11)
+    for _ in range(20):
+        m = random_int_matrix(rng, 4, 4)
+        w = DiagonalWitness(tuple(Scalar(s) for s in random_signs(rng, 4)))
+        assert conjugate(w, m) == _entrywise(w, m)
+    w = DiagonalWitness((Scalar(1), Scalar(-1), Scalar(Fraction(1, 2))))
+    m = M([[0, 3, 0], [-2, 0, 0], [0, 5, 0]])
+    want = M([[0, -3, 0], [2, 0, 0], [0, Fraction(-5, 2), 0]])
+    assert conjugate(w, m) == want
+
+
 def test_known_witnesses():
     b = [1, 1, -2]
     B = outer(b, b)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ from matsemi import (Caps, Matrix, ProjectiveElement, Scalar,
                      is_irreducible, projective_canonical, rank_one_ideal,
                      xy_decomposition)
 from _fx import M, outer, ones
+from _reference import (reference_algebra_dimension, reference_canonical,
+                        reference_closure)
 
 C3 = M([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
@@ -166,6 +169,86 @@ def test_xy_decomposition_directions_and_spans():
                 [[a * b for b in fac.y_vectors[yi]]
                  for a in fac.x_vectors[xi]])
             assert projective_canonical(prod) == ideal[k].canonical
+
+
+_PARTS = (0, 0, 0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2))
+
+
+def _random_scalar(rng, gaussian):
+    return Scalar(rng.choice(_PARTS), rng.choice(_PARTS) if gaussian else 0)
+
+
+def _random_generators(rng, gaussian):
+    n = rng.randint(2, 3)
+    kind = rng.choice(("dense", "monomial"))
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        if kind == "dense":
+            flat = [_random_scalar(rng, gaussian) for _ in range(n * n)]
+        else:
+            # signed (Gaussian) unit permutation matrices: finite groups,
+            # so some closures complete within the caps
+            units = ((1, 0), (-1, 0), (0, 1), (0, -1)) if gaussian \
+                else ((1, 0), (-1, 0))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            flat = [Scalar(0)] * (n * n)
+            for i, j in enumerate(perm):
+                flat[i * n + j] = Scalar(*rng.choice(units))
+        gens.append(Matrix(n, n, flat))
+    return gens
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_closure_matches_fraction_reference(gaussian):
+    rng = random.Random(20260 + gaussian)
+    hit = {"elements": 0, "word_length": 0, "complete": 0}
+    for _ in range(40):
+        gens = _random_generators(rng, gaussian)
+        caps = Caps(max_elements=rng.choice((6, 25, 60)),
+                    max_word_length=rng.choice((2, 3, 6)))
+        got = generate_closure(gens, caps)
+        want = reference_closure(gens, caps)
+        assert [e.word for e in got.elements] == \
+            [e.word for e in want.elements]
+        assert got.canonical_matrices() == want.canonical_matrices()
+        assert got.truncated == want.truncated
+        for m in gens:
+            assert got.contains_matrix(m.scale(3)) == \
+                want.contains_matrix(m.scale(3))
+        if not got.truncated:
+            hit["complete"] += 1
+        elif len(got.elements) == caps.max_elements:
+            hit["elements"] += 1
+        else:
+            hit["word_length"] += 1
+    assert all(hit.values()), hit
+
+
+def test_projective_canonical_matches_reference():
+    rng = random.Random(7)
+    for _ in range(50):
+        m = Matrix(2, 3, [_random_scalar(rng, True) for _ in range(6)])
+        assert projective_canonical(m) == reference_canonical(m)
+
+
+def test_contains_matrix_checks_shape():
+    cl = generate_closure([Matrix.identity(2)])
+    assert not cl.contains_matrix(M([[1, 0, 0, 1]]))
+
+
+def test_algebra_dimension_is_complex_linear():
+    # i*I and I span one complex dimension; splitting real and imaginary
+    # parts into independent coordinates would give 2
+    assert algebra_dimension([Matrix.diagonal([Scalar(0, 1)] * 2)]) == 1
+    assert algebra_dimension([Matrix.diagonal([Scalar(0, 1), 1])]) == 2
+
+
+def test_algebra_dimension_matches_scalar_reference():
+    rng = random.Random(4242)
+    for _ in range(30):
+        gens = _random_generators(rng, gaussian=True)
+        assert algebra_dimension(gens) == reference_algebra_dimension(gens)
 
 
 def test_xy_decomposition_rejects_higher_rank():
