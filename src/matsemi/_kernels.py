@@ -1,52 +1,17 @@
 """Hot numeric kernels: power iteration and the two exhaustive oracles.
 
-Two interchangeable backends compute identical results:
-
-* ``numba``: the loop kernels below compiled with ``@njit`` (default
-  when numba imports cleanly),
-* ``numpy``: the same power iteration uncompiled plus vectorised
-  rewrites of the exhaustive searches.
-
-Selection: environment variable ``MATSEMI_BACKEND=numba|numpy``, read
-at import time.  Everything here is float64/int64 plumbing; exactness
-lives in the rational modules, which only hand validated arrays down.
+One numpy implementation of each: a shifted power iteration and
+vectorised scans for the sign and subset searches.  numpy is imported
+inside each kernel, so it loads on the first float computation and
+never for the exact-only paths.  Everything here is float64/int64
+plumbing; exactness lives in the rational modules, which only hand
+validated arrays down.
 """
 
 from __future__ import annotations
 
-import os
 
-import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an install requirement
-    HAVE_NUMBA = False
-
-_ENV_FLAG = "MATSEMI_BACKEND"
-
-
-def _pick_backend() -> str:
-    requested = os.environ.get(_ENV_FLAG, "").strip().lower()
-    if requested not in ("", "numba", "numpy"):
-        raise ValueError(
-            f"{_ENV_FLAG} must be 'numba' or 'numpy', got {requested!r}")
-    if requested == "numba" and not HAVE_NUMBA:
-        raise RuntimeError(f"{_ENV_FLAG}=numba but numba is not importable")
-    if requested:
-        return requested
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-BACKEND = _pick_backend()
-
-
-# -- reference loop implementations (numba-compilable) -------------------
-
-
-def _power_iteration_loops(a, tol, max_iters):
+def power_iteration(a, tol: float, max_iters: int):
     """Shifted power iteration on (a + I); returns (rho, v, residual, it).
 
     The +I shift makes the iteration converge for indecomposable
@@ -54,6 +19,11 @@ def _power_iteration_loops(a, tol, max_iters):
     oscillate.  v keeps infinity norm 1, so the residual is the
     infinity-norm eigenpair defect for the returned rho.
     """
+    import numpy as np
+
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    tol = float(tol)
+    max_iters = int(max_iters)
     n = a.shape[0]
     v = np.ones(n, dtype=np.float64)
     if n == 1:
@@ -72,71 +42,19 @@ def _power_iteration_loops(a, tol, max_iters):
     return rho, v, res, max_iters
 
 
-def _sign_search_loops(signs):
+def sign_search(signs) -> int:
     """First mask in [0, 2^(n-1)) giving a feasible sign diagonal.
 
-    Bit (n-1-i) of the mask holds the sign of vertex i (set = -1), so
-    ascending masks enumerate sign vectors in lexicographic order with
-    the leading sign pinned to +1.  Returns -1 if none is feasible.
+    signs has shape (k, n, n) with entries in {-1, 0, 1}.  Bit (n-1-i)
+    of the mask holds the sign of vertex i (set = -1), so ascending
+    masks enumerate sign vectors in lexicographic order with the leading
+    sign pinned to +1.  Returns -1 if none is feasible.
     """
-    k = signs.shape[0]
-    n = signs.shape[1]
+    import numpy as np
+
+    sg = np.ascontiguousarray(signs, dtype=np.int8).astype(np.int64)
+    k, n, _ = sg.shape
     total = 1 << (n - 1)
-    for mask in range(total):
-        ok = True
-        for m in range(k):
-            for i in range(n):
-                si = -1 if (mask >> (n - 1 - i)) & 1 else 1
-                for j in range(n):
-                    v = signs[m, i, j]
-                    if v != 0:
-                        sj = -1 if (mask >> (n - 1 - j)) & 1 else 1
-                        if si * sj * v < 0:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            return mask
-    return -1
-
-
-def _subset_search_loops(pattern, order):
-    """First mask in `order` whose vertex set S has no edge into S
-    from outside (pattern[i, j] implies i in S whenever j in S).
-    Returns -1 if none qualifies.
-    """
-    n = pattern.shape[0]
-    for t in range(order.shape[0]):
-        mask = order[t]
-        ok = True
-        for i in range(n):
-            if (mask >> i) & 1:
-                continue
-            for j in range(n):
-                if ((mask >> j) & 1) and pattern[i, j]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return mask
-    return -1
-
-
-# -- vectorised numpy variants -------------------------------------------
-
-
-def _power_iteration_numpy(a, tol, max_iters):
-    return _power_iteration_loops(a, tol, max_iters)
-
-
-def _sign_search_numpy(signs):
-    k, n, _ = signs.shape
-    total = 1 << (n - 1)
-    sg = signs.astype(np.int64)
     shifts = (n - 1 - np.arange(n)).astype(np.int64)
     chunk = 2048
     for start in range(0, total, chunk):
@@ -153,62 +71,21 @@ def _sign_search_numpy(signs):
     return -1
 
 
-def _subset_search_numpy(pattern, order):
-    n = pattern.shape[0]
+def subset_search(pattern, order) -> int:
+    """First mask in `order` whose vertex set S has no edge into S
+    from outside (pattern[i, j] implies i in S whenever j in S).
+    Returns -1 if none qualifies.
+    """
+    import numpy as np
+
+    pm = np.ascontiguousarray(pattern, dtype=np.bool_).astype(np.int64)
+    order = np.ascontiguousarray(order, dtype=np.int64)
+    n = pm.shape[0]
     if order.shape[0] == 0:
         return -1
-    pm = pattern.astype(np.int64)
     members = (order[:, None] >> np.arange(n, dtype=np.int64)[None, :]) & 1
     # edges entering the subset from outside, counted per mask
     into = members @ pm.T
     bad = ((1 - members) * into).sum(axis=1)
     hits = np.nonzero(bad == 0)[0]
     return int(order[hits[0]]) if hits.size else -1
-
-
-if HAVE_NUMBA:
-    _power_iteration_numba = njit(cache=True)(_power_iteration_loops)
-    _sign_search_numba = njit(cache=True)(_sign_search_loops)
-    _subset_search_numba = njit(cache=True)(_subset_search_loops)
-
-_IMPLS: dict[str, dict[str, object]] = {
-    "numpy": {
-        "power_iteration": _power_iteration_numpy,
-        "sign_search": _sign_search_numpy,
-        "subset_search": _subset_search_numpy,
-    },
-}
-if HAVE_NUMBA:
-    _IMPLS["numba"] = {
-        "power_iteration": _power_iteration_numba,
-        "sign_search": _sign_search_numba,
-        "subset_search": _subset_search_numba,
-    }
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_IMPLS))
-
-
-def backend_functions(name: str) -> dict[str, object]:
-    """The three kernels for a named backend (for benchmarks and tests)."""
-    if name not in _IMPLS:
-        raise KeyError(f"unknown backend {name!r}; have {available_backends()}")
-    return dict(_IMPLS[name])
-
-
-def power_iteration(a: np.ndarray, tol: float, max_iters: int):
-    f = _IMPLS[BACKEND]["power_iteration"]
-    return f(np.ascontiguousarray(a, dtype=np.float64), float(tol),
-             int(max_iters))
-
-
-def sign_search(signs: np.ndarray) -> int:
-    f = _IMPLS[BACKEND]["sign_search"]
-    return int(f(np.ascontiguousarray(signs, dtype=np.int8)))
-
-
-def subset_search(pattern: np.ndarray, order: np.ndarray) -> int:
-    f = _IMPLS[BACKEND]["subset_search"]
-    return int(f(np.ascontiguousarray(pattern, dtype=np.bool_),
-                 np.ascontiguousarray(order, dtype=np.int64)))

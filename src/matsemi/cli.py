@@ -3,7 +3,9 @@
 Every subcommand reads JSON files (matrix, generator, or ray-set
 formats) and prints one JSON document.  Exit codes: 0 success (and, for
 `verify`/`fixtures`, no falsification or fixture failure), 1 for a
-falsified theorem run or failed fixture, 2 for bad input.
+falsified theorem run or failed fixture, 2 for bad input, 3 for an
+internal error (any other exception; the message goes to stderr).  A
+crash therefore never exits 1, which is reserved for a falsification.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import traceback
 from typing import Optional, Sequence
 
 from . import io
@@ -195,6 +198,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

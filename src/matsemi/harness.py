@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from . import _kernels
 from .cones import (Cone, contains as cone_contains, dual, extreme_rays,
                     is_invariant, properness)
@@ -47,6 +45,8 @@ def sign_search_oracle(ms: Sequence[Matrix]) -> Optional[SignDiagonal]:
             raise ValueError("matrices must be square of the same size")
         if any(not e.is_real for e in m.entries):
             raise ValueError("sign search requires real matrices")
+    import numpy as np
+
     signs = np.zeros((len(ms), n, n), dtype=np.int8)
     for k, m in enumerate(ms):
         for i in range(n):
@@ -83,6 +83,8 @@ def subset_invariance_oracle(m: Matrix) -> SubsetReport:
             order.append(sum(1 << i for i in comb))
     if not order:
         return SubsetReport(False, None)
+    import numpy as np
+
     pattern = np.zeros((n, n), dtype=bool)
     for i in range(n):
         for j in range(n):

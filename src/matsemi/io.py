@@ -48,6 +48,16 @@ def scalar_to_json(s: Scalar) -> Any:
     return {"re": str(s.re), "im": str(s.im)}
 
 
+def _require_int(x: Any, field: str) -> None:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"'{field}' must be an integer, got {x!r}")
+
+
+def _require_list_of_lists(x: Any, field: str) -> None:
+    if not isinstance(x, list) or not all(isinstance(r, list) for r in x):
+        raise ValueError(f"'{field}' must be a list of lists")
+
+
 def matrix_from_json(obj: dict) -> Matrix:
     try:
         rows = obj["rows"]
@@ -55,6 +65,9 @@ def matrix_from_json(obj: dict) -> Matrix:
         entries = obj["entries"]
     except (TypeError, KeyError) as e:
         raise ValueError("matrix object needs rows, cols, entries") from e
+    _require_int(rows, "rows")
+    _require_int(cols, "cols")
+    _require_list_of_lists(entries, "entries")
     if len(entries) != rows:
         raise ValueError("entry row count does not match 'rows'")
     flat = []
@@ -79,6 +92,8 @@ def generators_from_json(obj: dict) -> list[Matrix]:
         mats = obj["matrices"]
     except (TypeError, KeyError) as e:
         raise ValueError("generator object needs a 'matrices' list") from e
+    if not isinstance(mats, list) or not mats:
+        raise ValueError("'matrices' must be a non-empty list")
     return [matrix_from_json(m) for m in mats]
 
 
@@ -88,6 +103,8 @@ def cone_from_json(obj: dict) -> Cone:
         rays = obj["rays"]
     except (TypeError, KeyError) as e:
         raise ValueError("cone object needs dim and rays") from e
+    _require_int(dim, "dim")
+    _require_list_of_lists(rays, "rays")
     return Cone.of(dim, [[_fraction_from_json(x) for x in r] for r in rays])
 
 

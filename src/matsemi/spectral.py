@@ -2,19 +2,23 @@
 
 This is the only module that computes in floating point.  Inputs are
 still validated exactly (square, real, entrywise nonnegative) before
-being converted to float64 and handed to the selected kernel backend.
+being converted to float64 and handed to the numpy kernels.  numpy is
+imported only when `perron` runs; `is_primitive` is exact and never
+loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _kernels
 from .exact import Matrix, classify_entries
 from .structure import pattern_digraph, scc_condensation
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class NonConvergenceError(RuntimeError):
@@ -38,7 +42,7 @@ class SpectralResult:
     iterations: int
 
 
-def _validated_float_array(m: Matrix) -> np.ndarray:
+def _check_nonnegative_square(m: Matrix) -> None:
     if not m.is_square:
         raise ValueError("spectral analysis requires a square matrix")
     cls = classify_entries(m)
@@ -46,6 +50,12 @@ def _validated_float_array(m: Matrix) -> np.ndarray:
         raise ValueError("spectral analysis requires a real matrix")
     if not cls.is_nonnegative:
         raise ValueError("spectral analysis requires a nonnegative matrix")
+
+
+def _validated_float_array(m: Matrix) -> np.ndarray:
+    import numpy as np
+
+    _check_nonnegative_square(m)
     n = m.rows
     a = np.empty((n, n), dtype=np.float64)
     for i in range(n):
@@ -65,6 +75,8 @@ def perron(m: Matrix, tol: float = 1e-9,
     Raises NonConvergenceError if the contract cannot be met within
     max_iters per run.
     """
+    import numpy as np
+
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     a = _validated_float_array(m)
@@ -101,8 +113,7 @@ def is_primitive(m: Matrix) -> bool:
     any root, the gcd of d[u] + 1 - d[v] over all edges (u, v) equals
     the period of a strongly connected digraph.
     """
-    a = _validated_float_array(m)  # same validation contract as perron
-    del a
+    _check_nonnegative_square(m)  # same validation contract as perron
     g = pattern_digraph(m)
     if scc_condensation(g).scc_count != 1:
         return False

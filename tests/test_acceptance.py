@@ -3,8 +3,7 @@
 Every test prints one CRITERION line (visible under -s or -rA; under
 plain -v the per-test PASSED/FAILED line serves the same purpose) and
 enforces its time budget with time.monotonic.  Exact checks use the
-rational modules; float tolerances are stated inline.  Kernel JIT
-warmup happens in conftest, so budgets measure the work itself.
+rational modules; float tolerances are stated inline.
 """
 
 import random

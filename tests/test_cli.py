@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import matsemi
+from matsemi import cli
 from matsemi.cli import main
 from matsemi.io import dump_json, matrix_to_json
 from _fx import M
@@ -157,3 +162,95 @@ def test_bad_input_paths_exit_2(paths, capsys, tmp_path):
     floats = paths("f.json", {"rows": 1, "cols": 1, "entries": [[0.5]]})
     code, _ = run(capsys, ["analyze", floats])
     assert code == 2
+
+
+BAD_MATRICES = [
+    {"rows": 1, "cols": 1, "entries": 5},
+    {"rows": "1", "cols": 1, "entries": [["1"]]},
+    {"rows": True, "cols": 1, "entries": [["1"]]},
+    {"rows": 1, "cols": 1, "entries": ["1"]},
+    {"rows": 1, "cols": 1, "entries": [[None]]},
+    [1, 2],
+    None,
+]
+BAD_GENERATORS = BAD_MATRICES + [
+    {"matrices": 5},
+    {"matrices": []},
+    {"matrices": ["x"]},
+]
+BAD_CONES = [
+    {"dim": "2", "rays": [["1", "0"]]},
+    {"dim": 2, "rays": 5},
+    {"dim": 2, "rays": ["1", "0"]},
+    {"dim": 0, "rays": []},
+    [],
+]
+
+
+def test_malformed_input_never_exits_1(paths, capsys):
+    # exit 1 means "theorem falsified"; bad input must exit 2 on every
+    # subcommand that reads a file (`fixtures` reads none)
+    good_m = paths("good_m.json", matrix_to_json(M([[1, 0], [0, 1]])))
+    good_k = paths("good_k.json", {"dim": 2, "rays": [["1", "0"]]})
+    argvs = []
+    for i, obj in enumerate(BAD_MATRICES):
+        p = paths(f"m{i}.json", obj)
+        argvs += [["analyze", p], ["perron", p], ["oracle", "subsets", p],
+                  ["cone", "invariant", good_k, "--matrix", p]]
+    for i, obj in enumerate(BAD_GENERATORS):
+        p = paths(f"g{i}.json", obj)
+        argvs += [["closure", p], ["irreducible", p], ["verify", "group", p],
+                  ["verify", "semigroup", p], ["oracle", "signs", p]]
+    for i, obj in enumerate(BAD_CONES):
+        p = paths(f"k{i}.json", obj)
+        argvs += [["cone", action, p] for action in ("dual", "extreme",
+                                                     "proper")]
+        argvs.append(["cone", "invariant", p, "--matrix", good_m])
+    for argv in argvs:
+        code, out = run(capsys, argv)
+        assert (code, out) == (2, None), argv
+
+
+def test_unexpected_exception_exits_3(paths, capsys, monkeypatch):
+    def boom(_):
+        raise RuntimeError("kaboom")
+
+    monkeypatch.setattr(cli, "rank", boom)
+    p = paths("m.json", matrix_to_json(M([[1]])))
+    assert main(["analyze", p]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error" in captured.err and "kaboom" in captured.err
+
+
+COLD_START = """
+import json, sys
+import matsemi, matsemi.cli as cli
+from matsemi import Matrix, is_primitive
+m, k, g = sys.argv[1:4]
+codes = [cli.main(["analyze", m]), cli.main(["cone", "dual", k]),
+         cli.main(["verify", "group", g])]
+assert is_primitive(Matrix.from_rows([[0, 1], [1, 1]]))
+assert codes == [0, 0, 0], codes
+assert "numpy" not in sys.modules, "an exact command imported numpy"
+res = matsemi.perron(Matrix.from_rows([[2, 1], [1, 2]]))
+assert abs(res.rho - 3.0) <= 1e-9
+assert "numpy" in sys.modules
+print("cold-start-ok")
+"""
+
+
+def test_exact_commands_do_not_import_numpy(paths):
+    m = paths("m.json", matrix_to_json(M([[1, 0, 1], [0, 1, -1], [0, 0, 0]])))
+    k = paths("k.json", {"dim": 2, "rays": [["1", "0"], ["1", "1"]]})
+    g = paths("g.json", {"matrices": [matrix_to_json(
+        M([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))]})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(matsemi.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", COLD_START, m, k, g],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().endswith("cold-start-ok")

@@ -56,6 +56,27 @@ def test_matrix_from_json_shape_errors():
         matrix_from_json([1, 2])
 
 
+def test_matrix_from_json_field_types():
+    for bad in ({"rows": "1", "cols": 1, "entries": [["1"]]},
+                {"rows": 1, "cols": 1.0, "entries": [["1"]]},
+                {"rows": True, "cols": 1, "entries": [["1"]]},
+                {"rows": 1, "cols": 1, "entries": 5},
+                {"rows": 1, "cols": 1, "entries": ["1"]}):
+        with pytest.raises(ValueError):
+            matrix_from_json(bad)
+    for bad in ({"matrices": 5}, {"matrices": []}):
+        with pytest.raises(ValueError):
+            generators_from_json(bad)
+
+
+def test_cone_from_json_field_types():
+    for bad in ({"dim": "2", "rays": [["1", "0"]]},
+                {"dim": 2, "rays": 5},
+                {"dim": 2, "rays": ["1", "0"]}):
+        with pytest.raises(ValueError):
+            cone_from_json(bad)
+
+
 def test_cone_round_trip():
     k = Cone.of(3, [[1, 0, 0], [2, 2, -1]])
     assert cone_from_json(cone_to_json(k)) == k

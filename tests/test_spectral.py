@@ -112,6 +112,10 @@ def test_is_primitive_known():
 def test_is_primitive_validation():
     with pytest.raises(ValueError):
         is_primitive(M([[0, -1], [1, 0]]))
+    with pytest.raises(ValueError):
+        is_primitive(Matrix.zeros(2, 3))
+    with pytest.raises(ValueError):
+        is_primitive(Matrix.from_rows([[Scalar(0, 1)]]))
 
 
 def brute_primitive(p: np.ndarray) -> bool:
