@@ -1,12 +1,24 @@
 """Finitely generated polyhedral cones over the rationals, exactly.
 
-Cones are stored by generators (V-representation).  The dual cone is
-computed with the double description method: constraints are the
-generators of the primal, an initial simplicial cone comes from a
-maximal independent subset of them, and the remaining constraints are
-inserted one at a time, combining only adjacent ray pairs.  Adjacency
-is the algebraic test: two extreme rays are adjacent iff the rank of
-their common active constraints is two less than the ambient rank.
+Cones are stored by generators (V-representation).  Public rays are
+canonical ``Fraction`` vectors (largest |coordinate| 1).  Inside, the
+duality code works on primitive integer vectors: integer vectors whose
+entries have gcd 1, each standing for its ray up to positive scaling.
+Every elimination goes through the fraction-free core in
+:mod:`matsemi.exact`.
+
+The dual cone is computed with the double description method:
+constraints are the generators of the primal, an initial simplicial
+cone comes from a maximal independent subset of them, and the remaining
+constraints are inserted one at a time, combining only adjacent ray
+pairs.  Adjacency is the algebraic test: two extreme rays are adjacent
+iff the rank of their common active constraints is two less than the
+ambient rank.  Each step (dot products, the rank test,
+``s_p r_q - s_q r_p`` and its gcd) is integer and commutes with
+positive scaling, so it finds the rays the rational computation finds;
+``dual`` turns them back into canonical ``Fraction`` rays.
+``contains`` and ``is_invariant`` clear denominators by a positive lcm
+and compare integer dot products.
 
 Membership questions (is a vector a nonnegative combination of given
 vectors) are answered by an exact phase-1 simplex with Bland's rule, so
@@ -17,17 +29,17 @@ dual-inequality route and the simplex route.
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import Matrix, RationalLike, Scalar, _as_fraction, inverse
+from .exact import (Matrix, RationalLike, _as_fraction, int_independent_subset,
+                    int_inverse_columns, int_nullspace, int_rank, primitive)
 
 Vec = tuple[Fraction, ...]
-
-
-def _dot(a: Vec, b: Vec) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+IntVec = tuple[int, ...]
 
 
 def canonical_ray(v: Sequence[RationalLike]) -> Vec:
@@ -84,73 +96,6 @@ class PropernessReport:
     is_pointed: bool
     is_solid: bool
     is_proper: bool
-
-
-# -- exact linear algebra on Fraction vectors ---------------------------
-
-
-def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form.  Returns (rows, pivot column indices)."""
-    work = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(work[0]) if work else 0
-    for c in range(ncols):
-        p = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if p is None:
-            continue
-        work[r], work[p] = work[p], work[r]
-        pv = work[r][c]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work, pivots
-
-
-def _frac_rank(rows: Sequence[Vec]) -> int:
-    return len(_rref(rows)[1])
-
-
-def _nullspace(rows: Sequence[Vec], n: int) -> list[Vec]:
-    """Deterministic basis of {x : rows @ x = 0} via RREF free columns."""
-    if not rows:
-        return [tuple(Fraction(1 if i == j else 0) for i in range(n))
-                for j in range(n)]
-    red, pivots = _rref(rows)
-    pivset = set(pivots)
-    basis: list[Vec] = []
-    for free in range(n):
-        if free in pivset:
-            continue
-        v = [Fraction(0)] * n
-        v[free] = Fraction(1)
-        for ri, p in enumerate(pivots):
-            v[p] = -red[ri][free]
-        basis.append(tuple(v))
-    return basis
-
-
-def _independent_subset(vecs: Sequence[Vec]) -> list[int]:
-    """Indices of a maximal independent subset, greedily in given order."""
-    ech: list[list[Fraction]] = []
-    keep: list[int] = []
-    for idx, v in enumerate(vecs):
-        row = list(v)
-        for e in ech:
-            lead = next(i for i, x in enumerate(e) if x != 0)
-            if row[lead] != 0:
-                f = row[lead] / e[lead]
-                row = [x - f * y for x, y in zip(row, e)]
-        if any(x != 0 for x in row):
-            ech.append(row)
-            keep.append(idx)
-    return keep
 
 
 # -- exact phase-1 simplex ----------------------------------------------
@@ -225,8 +170,18 @@ def _nonneg_combination(columns: Sequence[Vec],
 # -- cone operations ------------------------------------------------------
 
 
-def _dd_insert(rays: list[Vec], processed: list[Vec], h: Vec,
-               ambient_rank: int) -> list[Vec]:
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(operator.mul, a, b))
+
+
+def _int_vector(v: Sequence[Fraction]) -> IntVec:
+    """v times the lcm of its denominators: a positive integer multiple."""
+    den = math.lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (den // x.denominator) for x in v)
+
+
+def _dd_insert(rays: list[IntVec], processed: list[IntVec], h: IntVec,
+               ambient_rank: int) -> list[IntVec]:
     """One double description step: intersect cone(rays) with h.x >= 0."""
     s = [_dot(h, r) for r in rays]
     pos = [i for i, x in enumerate(s) if x > 0]
@@ -234,76 +189,59 @@ def _dd_insert(rays: list[Vec], processed: list[Vec], h: Vec,
     neg = [i for i, x in enumerate(s) if x < 0]
     if not neg:
         return rays
-    active = [[i for i, c in enumerate(processed) if _dot(c, r) == 0]
+    active = [{i for i, c in enumerate(processed) if _dot(c, r) == 0}
               for r in rays]
-    out: dict[Vec, None] = {}
-    for i in pos:
-        out[rays[i]] = None
-    for i in zer:
-        out[rays[i]] = None
+    out = dict.fromkeys(rays[i] for i in pos + zer)
     for p in pos:
-        zp = set(active[p])
         for q in neg:
-            common = [processed[i] for i in active[q] if i in zp]
-            if _frac_rank(common) != ambient_rank - 2:
+            common = active[p] & active[q]
+            # rank <= row count, so too few common constraints never pass
+            if (len(common) < ambient_rank - 2
+                    or int_rank([processed[i] for i in common])
+                    != ambient_rank - 2):
                 continue
-            w = tuple(s[p] * x - s[q] * y
-                      for x, y in zip(rays[q], rays[p]))
-            out[canonical_ray(w)] = None
+            out[primitive([s[p] * x - s[q] * y
+                           for x, y in zip(rays[q], rays[p])])] = None
     return list(out)
 
 
 @functools.lru_cache(maxsize=512)
-def _dual_ray_vectors(cone: Cone) -> tuple[Vec, ...]:
+def _dual_ray_vectors(cone: Cone) -> tuple[IntVec, ...]:
+    """Primitive integer generators of the dual cone, distinct, sorted."""
     n = cone.dim
-    gens = [r.v for r in cone.rays]
+    gens = [primitive(_int_vector(r.v)) for r in cone.rays]
     if not gens:
-        out = []
-        for j in range(n):
-            e = [Fraction(0)] * n
-            e[j] = Fraction(1)
-            out.append(tuple(e))
-            out.append(tuple(-x for x in e))
-        return tuple(sorted(out))
-    basis_idx = _independent_subset(gens)
+        axes = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        return tuple(sorted(axes + [tuple(-x for x in e) for e in axes]))
+    basis_idx = int_independent_subset(gens)
     d = len(basis_idx)
     w = [gens[i] for i in basis_idx]  # basis of the span of the generators
-    lineality = _nullspace(gens, n)   # dual contains +- these directions
     # pointed part lives in the span; coordinates u with x = sum u_j w_j
-    proj = [tuple(_dot(g, wj) for wj in w) for g in gens]
-    bmat = Matrix.from_rows([[Scalar(x) for x in proj[i]] for i in basis_idx])
-    binv = inverse(bmat)
-    rays_u: list[Vec] = []
-    for j in range(d):
-        col = tuple(binv.entry(i, j).re for i in range(d))
-        rays_u.append(canonical_ray(col))
+    proj = [primitive([_dot(g, wj) for wj in w]) for g in gens]
     processed = [proj[i] for i in basis_idx]
+    rays_u = int_inverse_columns(processed)
+    in_basis = set(basis_idx)
     for idx, h in enumerate(proj):
-        if idx in basis_idx:
+        if idx in in_basis:
             continue
         rays_u = _dd_insert(rays_u, processed, h, d)
         processed.append(h)
-    out_vecs: set[Vec] = set()
-    for u in rays_u:
-        x = [Fraction(0)] * n
-        for j in range(d):
-            if u[j] != 0:
-                x = [a + u[j] * c for a, c in zip(x, w[j])]
-        out_vecs.add(canonical_ray(x))
-    for ell in lineality:
-        out_vecs.add(canonical_ray(ell))
-        out_vecs.add(canonical_ray(tuple(-x for x in ell)))
+    out_vecs = {primitive([_dot(u, col) for col in zip(*w)])
+                for u in rays_u}
+    for ell in int_nullspace(gens, n):  # dual contains +- these directions
+        out_vecs.add(ell)
+        out_vecs.add(tuple(-x for x in ell))
     return tuple(sorted(out_vecs))
 
 
 def dual(k: Cone) -> Cone:
     """The dual cone {x : r.x >= 0 for every generator r of k}."""
-    return Cone(k.dim, tuple(Ray(v) for v in _dual_ray_vectors(k)))
+    return Cone.of(k.dim, _dual_ray_vectors(k))
 
 
 def properness(k: Cone) -> PropernessReport:
     gens = [r.v for r in k.rays]
-    solid = _frac_rank(gens) == k.dim
+    solid = int_rank([_int_vector(g) for g in gens]) == k.dim
     if not gens:
         pointed = True
     else:
@@ -336,7 +274,8 @@ def contains(k: Cone, v: Sequence[RationalLike]) -> bool:
     w = tuple(_as_fraction(x) for x in v)
     if len(w) != k.dim:
         raise ValueError("vector dimension does not match cone")
-    return all(_dot(c, w) >= 0 for c in _dual_ray_vectors(k))
+    iw = _int_vector(w)
+    return all(_dot(c, iw) >= 0 for c in _dual_ray_vectors(k))
 
 
 def is_invariant(m: Matrix, k: Cone) -> bool:
@@ -346,10 +285,12 @@ def is_invariant(m: Matrix, k: Cone) -> bool:
     if any(not e.is_real for e in m.entries):
         raise ValueError("cone invariance is defined for real matrices")
     duals = _dual_ray_vectors(k)
+    n = k.dim
+    flat = _int_vector([e.re for e in m.entries])
+    rows = [flat[i * n:(i + 1) * n] for i in range(n)]
     for r in k.rays:
-        img = [sum((m.entry(i, j).re * r.v[j] for j in range(k.dim)),
-                   Fraction(0)) for i in range(k.dim)]
-        for c in duals:
-            if _dot(c, tuple(img)) < 0:
-                return False
+        g = _int_vector(r.v)
+        img = [_dot(row, g) for row in rows]
+        if any(_dot(c, img) < 0 for c in duals):
+            return False
     return True

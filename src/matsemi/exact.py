@@ -4,10 +4,15 @@ Every structural decision made by this package (zero tests, sign tests,
 rank computations) reduces to exact comparisons of ``fractions.Fraction``
 values.  Nothing in this module rounds, and nothing imports numpy; the
 floating-point world is confined to :mod:`matsemi.spectral`.
+
+Where only rays matter (vectors up to positive scaling), callers clear
+denominators and use the fraction-free integer elimination at the end
+of this module, which keeps every row a primitive integer vector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -339,6 +344,123 @@ def inverse(m: Matrix) -> Matrix:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return Matrix(n, n, [aug[i][n + j] for i in range(n) for j in range(n)])
+
+
+# -- fraction-free elimination over the integers ------------------------
+
+
+def primitive(v: Sequence[int]) -> tuple[int, ...]:
+    """v divided by the positive gcd of its entries.
+
+    The result is the primitive integer vector on the ray of v: one
+    representative per positive-scaling class.  Zero stays zero.
+    """
+    g = math.gcd(*v)
+    if g > 1:
+        return tuple(x // g for x in v)
+    return tuple(v)
+
+
+def int_gauss_jordan(
+        rows: Sequence[Sequence[int]]
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination over integer rows.
+
+    Returns (rows, pivots).  For i < len(pivots), row i has a nonzero
+    entry D_i at column pivots[i] and zeros in every other pivot column,
+    so it is D_i times row i of the rational reduced row echelon form;
+    the rows after those are zero.  Each update clears one entry with
+    integer factors, row <- |D| * row - sign(D) * row[c] * pivot_row
+    (both factors divided by their gcd), and then divides the row by its
+    positive gcd, so entries stay integers and every row stays
+    primitive.  D_i may be negative: callers dividing by it must keep
+    its sign.
+    """
+    work = [primitive(r) for r in rows]
+    pivots: list[int] = []
+    nrows = len(work)
+    ncols = len(work[0]) if work else 0
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if work[i][c]), None)
+        if p is None:
+            continue
+        work[r], work[p] = work[p], work[r]
+        prow = work[r]
+        a = prow[c]
+        for i in range(nrows):
+            b = work[i][c]
+            if i == r or not b:
+                continue
+            g = math.gcd(a, b)
+            fa, fb = abs(a) // g, b // g if a > 0 else -b // g
+            work[i] = primitive([fa * x - fb * y
+                                 for x, y in zip(work[i], prow)])
+        pivots.append(c)
+        r += 1
+    return work, pivots
+
+
+def int_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Exact rank of an integer matrix given by its rows."""
+    return len(int_gauss_jordan(rows)[1])
+
+
+def int_nullspace(rows: Sequence[Sequence[int]],
+                  n: int) -> list[tuple[int, ...]]:
+    """Primitive basis of {x in Z^n : rows @ x = 0}, one per free column.
+
+    The vector for free column f is the rational reduced-row-echelon
+    basis vector (1 at f, minus the reduced column at the pivots)
+    times the positive lcm L of the |D_i|, then made primitive.
+    """
+    red, pivots = int_gauss_jordan(rows)
+    den = math.lcm(*(abs(red[i][p]) for i, p in enumerate(pivots)))
+    pivset = set(pivots)
+    basis: list[tuple[int, ...]] = []
+    for f in range(n):
+        if f in pivset:
+            continue
+        v = [0] * n
+        v[f] = den
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f] * (den // red[i][p])
+        basis.append(primitive(v))
+    return basis
+
+
+def int_independent_subset(vecs: Sequence[Sequence[int]]) -> list[int]:
+    """Indices of a maximal independent subset, greedily in given order.
+
+    These are the pivot columns of the matrix whose columns are vecs: a
+    column is a pivot exactly when it is outside the span of the earlier
+    ones.
+    """
+    if not vecs:
+        return []
+    return int_gauss_jordan(list(zip(*vecs)))[1]
+
+
+def int_inverse_columns(b: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Columns of b^-1 for an invertible integer b, each made primitive.
+
+    Eliminating [b | I] leaves row i as D_i e_i | X_i, so
+    b^-1 = diag(D)^-1 X and column j times L = lcm |D_i| is
+    (X_ij * (L / D_i))_i: a positive multiple of the exact column.
+    Raises ValueError if b is singular.
+    """
+    n = len(b)
+    red, pivots = int_gauss_jordan(
+        [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(b)])
+    if pivots and pivots[-1] >= n:
+        raise ValueError("matrix is singular")
+    den = math.lcm(*(abs(red[i][i]) for i in range(n)))
+    scale = [den // red[i][i] for i in range(n)]
+    return [primitive([red[i][n + j] * scale[i] for i in range(n)])
+            for j in range(n)]
 
 
 def rank_one_factor(m: Matrix) -> tuple[tuple[Scalar, ...], tuple[Scalar, ...]]:

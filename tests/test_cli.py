@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import matsemi
-from matsemi import cli
+from matsemi import Matrix, cli, harness
 from matsemi.cli import main
 from matsemi.io import dump_json, matrix_to_json
 from _fx import M
@@ -148,6 +148,17 @@ def test_oracle_commands(paths, capsys):
     code, out = run(capsys, ["oracle", "signs", bad])
     assert code == 0
     assert out == {"feasible": False, "signs": None}
+
+
+def test_oracle_commands_refuse_oversized_input(paths, capsys):
+    for kind, limit in (("signs", harness.MAX_SIGN_SEARCH_N),
+                        ("subsets", harness.MAX_SUBSET_SEARCH_N)):
+        p = paths(f"{kind}.json", matrix_to_json(Matrix.identity(limit + 1)))
+        code = main(["oracle", kind, p])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "limited" in captured.err
 
 
 def test_bad_input_paths_exit_2(paths, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,8 +6,11 @@ import pytest
 
 from matsemi import (Cone, Matrix, Ray, canonical_ray, contains, dual,
                      extreme_rays, is_invariant, properness)
+from matsemi import cones
 from matsemi.cones import _nonneg_combination
 from _fx import M, ones
+from _reference import (reference_contains, reference_dual_ray_vectors,
+                        reference_is_invariant)
 
 
 def frac_rays(k):
@@ -188,3 +192,84 @@ def test_invariance_matches_membership_of_images():
                 for i in range(n)))
             for r in k.rays)
         assert is_invariant(m, k) == want
+
+
+def random_rational(rng, lo=-3, hi=3):
+    return Fraction(rng.randint(lo, hi), rng.choice((1, 1, 2, 3, 4)))
+
+
+def random_rational_cone(rng, n):
+    """Rational rays, sometimes with lineality, sometimes none at all."""
+    rays = []
+    for _ in range(rng.randint(0, 6 if n < 5 else 5)):
+        v = [random_rational(rng) for _ in range(n)]
+        if any(v):
+            rays.append(v)
+    if rays and rng.random() < 0.3:
+        rays.append([-x for x in rng.choice(rays)])  # a lineality line
+    return Cone.of(n, rays)
+
+
+def test_integer_dual_matches_fraction_reference():
+    rng = random.Random(95)
+    seen = {"contains": set(), "invariant": set(), "lineality": 0,
+            "empty": 0, "rational": 0}
+    for _ in range(320):
+        n = rng.randint(1, 5)
+        k = random_rational_cone(rng, n)
+        ref = reference_dual_ray_vectors(k)
+        assert [r.v for r in dual(k).rays] == list(ref)
+        ints = cones._dual_ray_vectors(k)
+        assert len(set(ints)) == len(ints) == len(ref)
+        assert all(math.gcd(*c) == 1 for c in ints)
+        seen["empty"] += not k.rays
+        seen["lineality"] += bool(k.rays) and not properness(k).is_pointed
+        seen["rational"] += any(x.denominator > 1
+                                for r in k.rays for x in r.v)
+        queries = [(0,) * n,
+                   tuple(random_rational(rng) for _ in range(n)),
+                   tuple(rng.randint(-2, 2) for _ in range(n))]
+        queries += [r.v for r in k.rays[:1]]
+        queries += [tuple(-x for x in c) for c in ref[:1]]
+        for v in queries:
+            got = contains(k, v)
+            assert got == reference_contains(k, v)
+            seen["contains"].add(got)
+        mats = [Matrix.identity(n).scale(Fraction(rng.randint(1, 5), 3)),
+                M([[random_rational(rng, -2, 2) for _ in range(n)]
+                   for _ in range(n)]),
+                M([[random_rational(rng, 0, 2) for _ in range(n)]
+                   for _ in range(n)])]
+        for m in mats:
+            got = is_invariant(m, k)
+            assert got == reference_is_invariant(m, k)
+            seen["invariant"].add(got)
+    assert seen["contains"] == seen["invariant"] == {True, False}
+    assert min(seen["lineality"], seen["empty"], seen["rational"]) >= 10
+
+
+def test_dual_cache_contract():
+    """perfbench clears this cache every pass and reads its statistics."""
+    cache = cones._dual_ray_vectors
+    assert cache.cache_info().maxsize == 512
+    cache.cache_clear()
+    assert cache.cache_info().currsize == 0
+
+    def lookups():
+        info = cache.cache_info()
+        return info.hits, info.misses
+
+    k = Cone.of(2, [[1, 0], [1, 1]])
+    empty = Cone.of(2, [])
+    calls = [(lambda: contains(k, (0, 0)), (0, 1)),
+             (lambda: contains(k, (0, 0)), (1, 0)),
+             (lambda: contains(k, (1, Fraction(-1, 2))), (1, 0)),
+             (lambda: is_invariant(M([[0, 0], [0, 0]]), k), (1, 0)),
+             (lambda: is_invariant(M([[1, -1], [0, 0]]), k), (1, 0)),
+             (lambda: is_invariant(ones(2), empty), (0, 1)),
+             (lambda: contains(empty, (0, 0)), (1, 0))]
+    for call, (dh, dm) in calls:
+        h0, m0 = lookups()
+        call()
+        h1, m1 = lookups()
+        assert (h1 - h0, m1 - m0) == (dh, dm)

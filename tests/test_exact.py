@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,11 @@ import pytest
 
 from matsemi import (Matrix, Scalar, classify_entries, inverse,
                      matrix_product, matrix_vector, rank, rank_one_factor)
+from matsemi.exact import (int_gauss_jordan, int_independent_subset,
+                           int_inverse_columns, int_nullspace, int_rank,
+                           primitive)
 from _fx import M, outer, random_int_matrix
+from _reference import _independent_subset, _nullspace, _rref
 
 
 def test_scalar_arithmetic():
@@ -176,3 +181,92 @@ def test_matrix_scale_and_sums():
                                          [0, Fraction(3, 2)]])
     assert m + (-m) == Matrix.zeros(2, 2)
     assert m - m == Matrix.zeros(2, 2)
+
+
+# -- fraction-free integer core ----------------------------------------------
+
+
+def is_positive_multiple(u, v) -> bool:
+    """u == c * v for some rational c > 0 (v nonzero)."""
+    i = next(i for i, x in enumerate(v) if x)
+    c = Fraction(u[i]) / v[i]
+    return c > 0 and all(a == c * b for a, b in zip(u, v))
+
+
+def is_primitive(v) -> bool:
+    return math.gcd(*v) in (0, 1)
+
+
+def int_rows_corpus(rng):
+    """Seeded integer matrices: empty, rank 0, singular, wide, tall."""
+    cases = [([], 3), ([[0, 0, 0]], 3), ([[0], [0]], 1),
+             ([[2, 4, 6], [1, 2, 3]], 3), ([[0, -3], [2, 0]], 2)]
+    for _ in range(150):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(c)]
+                for _ in range(r)]
+        if rng.random() < 0.3:  # a dependent row makes it singular
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows.append([a * x + b * y
+                         for x, y in zip(rng.choice(rows), rng.choice(rows))])
+        cases.append((rows, c))
+    return cases
+
+
+def test_primitive():
+    assert primitive((4, -6, 0)) == (2, -3, 0)
+    assert primitive((-3,)) == (-1,)
+    assert primitive((0, 0)) == (0, 0)
+    assert primitive([1, 5]) == (1, 5)
+
+
+def test_int_gauss_jordan_matches_fraction_rref():
+    rng = random.Random(505)
+    ranks = set()
+    for rows, ncols in int_rows_corpus(rng):
+        frows = [[Fraction(x) for x in r] for r in rows]
+        fred, fpiv = _rref(frows)
+        red, piv = int_gauss_jordan(rows)
+        assert piv == fpiv
+        ranks.add(len(piv) - min(len(rows), ncols))
+        for i, p in enumerate(piv):
+            assert list(red[i]) == [red[i][p] * x for x in fred[i]]
+        assert all(not any(r) for r in red[len(piv):])
+        assert all(is_primitive(r) for r in red)
+        assert int_rank(rows) == len(fpiv)
+        assert int_independent_subset(rows) == _independent_subset(frows)
+        got = int_nullspace(rows, ncols)
+        want = _nullspace(frows, ncols)
+        assert len(got) == len(want) == ncols - len(fpiv)
+        for u, v in zip(got, want):
+            assert is_primitive(u) and is_positive_multiple(u, v)
+            assert all(sum(a * b for a, b in zip(r, u)) == 0 for r in rows)
+    assert 0 in ranks and min(ranks) < 0  # full and deficient rank occur
+
+
+def test_int_inverse_columns_are_positive_multiples():
+    rng = random.Random(606)
+    found = negative_pivot = 0
+    while found < 60:
+        n = rng.randint(1, 5)
+        b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if rank(M(b)) < n:
+            with pytest.raises(ValueError):
+                int_inverse_columns(b)
+            continue
+        found += 1
+        inv = inverse(M(b))
+        cols = int_inverse_columns(b)
+        assert len(cols) == n
+        for j, u in enumerate(cols):
+            assert is_primitive(u)
+            assert is_positive_multiple(u, [inv.entry(i, j).re
+                                            for i in range(n)])
+        red, _ = int_gauss_jordan([r + [int(i == j) for j in range(n)]
+                                   for i, r in enumerate(b)])
+        negative_pivot += any(red[i][i] < 0 for i in range(n))
+    assert negative_pivot >= 5
+    with pytest.raises(ValueError):
+        int_inverse_columns([[1, 2], [2, 4]])
+    with pytest.raises(ValueError):
+        int_inverse_columns([[0, 0], [0, 0]])

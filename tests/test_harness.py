@@ -5,7 +5,8 @@ import pytest
 from matsemi import (Caps, DecompositionKind, Matrix, Scalar,
                      classify_decomposability, classify_entries, conjugate,
                      diag_sim_nonneg, generate_closure)
-from matsemi.harness import (fixture_names, plant_group_instance,
+from matsemi.harness import (MAX_SIGN_SEARCH_N, MAX_SUBSET_SEARCH_N,
+                             fixture_names, plant_group_instance,
                              plant_semigroup_instance, run_fixtures,
                              sign_search_oracle, subset_invariance_oracle,
                              verify_group_theorem, verify_semigroup_theorem)
@@ -51,6 +52,16 @@ def test_sign_oracle_validation():
         sign_search_oracle([M([[1]]), M([[1, 0], [0, 1]])])
     with pytest.raises(ValueError):
         sign_search_oracle([Matrix.from_rows([[Scalar(0, 1)]])])
+
+
+def test_oracles_refuse_oversized_input():
+    """One size past each limit is refused before any enumeration."""
+    n = MAX_SIGN_SEARCH_N + 1
+    with pytest.raises(ValueError, match="limited"):
+        sign_search_oracle([Matrix.identity(n)])
+    n = MAX_SUBSET_SEARCH_N + 1
+    with pytest.raises(ValueError, match="limited"):
+        subset_invariance_oracle(Matrix.identity(n))
 
 
 def test_sign_oracle_agrees_with_solver_on_real_inputs():
