@@ -29,14 +29,14 @@ dual-inequality route and the simplex route.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import (Matrix, RationalLike, _as_fraction, int_independent_subset,
-                    int_inverse_columns, int_nullspace, int_rank, primitive)
+from .exact import (Matrix, RationalLike, _as_fraction, _int_vector,
+                    int_independent_subset, int_inverse_columns,
+                    int_nullspace, int_rank, primitive)
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -84,6 +84,12 @@ class Cone:
         vs = [r.v for r in self.rays]
         if sorted(set(vs)) != list(vs):
             raise ValueError("rays must be deduplicated and sorted")
+        # Cones key the dual cache, so hash the Fraction coordinates once;
+        # kept outside the fields, so eq, repr and asdict do not see it.
+        object.__setattr__(self, "_hash", hash((self.dim, self.rays)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def of(dim: int, rays: Sequence[Sequence[RationalLike]]) -> "Cone":
@@ -172,12 +178,6 @@ def _nonneg_combination(columns: Sequence[Vec],
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(operator.mul, a, b))
-
-
-def _int_vector(v: Sequence[Fraction]) -> IntVec:
-    """v times the lcm of its denominators: a positive integer multiple."""
-    den = math.lcm(*(x.denominator for x in v))
-    return tuple(x.numerator * (den // x.denominator) for x in v)
 
 
 def _dd_insert(rays: list[IntVec], processed: list[IntVec], h: IntVec,

@@ -5,9 +5,13 @@ rank computations) reduces to exact comparisons of ``fractions.Fraction``
 values.  Nothing in this module rounds, and nothing imports numpy; the
 floating-point world is confined to :mod:`matsemi.spectral`.
 
-Where only rays matter (vectors up to positive scaling), callers clear
-denominators and use the fraction-free integer elimination at the end
-of this module, which keeps every row a primitive integer vector.
+All elimination runs on one fraction-free integer Gauss-Jordan core at
+the end of this module, which keeps every row a primitive integer
+vector.  Where only rays matter (vectors up to positive scaling),
+callers clear denominators and use it directly.  ``rank`` and
+``inverse`` of a Gaussian matrix A + iB use it on the integer real form
+[[A, -B], [B, A]], which has twice the rank and inverts to the real
+form of the inverse.
 """
 
 from __future__ import annotations
@@ -102,10 +106,6 @@ class Scalar:
     @property
     def is_positive_real(self) -> bool:
         return self.im == 0 and self.re > 0
-
-    def magnitude_sq(self) -> Fraction:
-        """|z|^2, exact.  Used for pivot selection and max-entry scaling."""
-        return self.re * self.re + self.im * self.im
 
     def max_abs_part(self) -> Fraction:
         return max(abs(self.re), abs(self.im))
@@ -278,74 +278,6 @@ def matrix_vector(m: Matrix, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
     return tuple(out)
 
 
-def _eliminate(rows: list[list[Scalar]]) -> tuple[int, list[int]]:
-    """In-place forward elimination.  Returns (rank, pivot column list).
-
-    Pivot choice: within the current column, the candidate row whose entry
-    has the largest exact squared magnitude, ties broken by lowest row
-    index.  Deterministic, and keeps intermediate fractions smallish.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    pivots: list[int] = []
-    for col in range(ncols):
-        best = -1
-        best_mag = Fraction(0)
-        for r in range(rank, nrows):
-            mag = rows[r][col].magnitude_sq()
-            if mag > best_mag:
-                best_mag = mag
-                best = r
-        if best < 0:
-            continue
-        rows[rank], rows[best] = rows[best], rows[rank]
-        piv = rows[rank][col]
-        for r in range(rank + 1, nrows):
-            if rows[r][col]:
-                f = rows[r][col] / piv
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    return rank, pivots
-
-
-def rank(m: Matrix) -> int:
-    """Exact rank over the Gaussian rationals."""
-    rows = [list(m.row(i)) for i in range(m.rows)]
-    r, _ = _eliminate(rows)
-    return r
-
-
-def inverse(m: Matrix) -> Matrix:
-    """Exact inverse.  Raises ValueError on non-square or singular input."""
-    if not m.is_square:
-        raise ValueError("only square matrices can be inverted")
-    n = m.rows
-    aug = [list(m.row(i)) + [ONE if j == i else ZERO for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        best = -1
-        best_mag = Fraction(0)
-        for r in range(col, n):
-            mag = aug[r][col].magnitude_sq()
-            if mag > best_mag:
-                best_mag = mag
-                best = r
-        if best < 0:
-            raise ValueError("matrix is singular")
-        aug[col], aug[best] = aug[best], aug[col]
-        piv = aug[col][col]
-        aug[col] = [x / piv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return Matrix(n, n, [aug[i][n + j] for i in range(n) for j in range(n)])
-
-
 # -- fraction-free elimination over the integers ------------------------
 
 
@@ -443,13 +375,17 @@ def int_independent_subset(vecs: Sequence[Sequence[int]]) -> list[int]:
     return int_gauss_jordan(list(zip(*vecs)))[1]
 
 
-def int_inverse_columns(b: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Columns of b^-1 for an invertible integer b, each made primitive.
+def _int_vector(v: Sequence[Fraction]) -> tuple[int, ...]:
+    """v times the lcm of its denominators: a positive integer multiple."""
+    den = math.lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (den // x.denominator) for x in v)
 
-    Eliminating [b | I] leaves row i as D_i e_i | X_i, so
-    b^-1 = diag(D)^-1 X and column j times L = lcm |D_i| is
-    (X_ij * (L / D_i))_i: a positive multiple of the exact column.
-    Raises ValueError if b is singular.
+
+def _int_inverse_rows(b: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Eliminate [b | I] for a square integer b.
+
+    Row i comes back as D_i e_i | X_i, so b^-1 = diag(D)^-1 X; D_i may
+    be negative.  Raises ValueError if b is singular.
     """
     n = len(b)
     red, pivots = int_gauss_jordan(
@@ -457,10 +393,74 @@ def int_inverse_columns(b: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
          for i, row in enumerate(b)])
     if pivots and pivots[-1] >= n:
         raise ValueError("matrix is singular")
+    return red
+
+
+def int_inverse_columns(b: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Columns of b^-1 for an invertible integer b, each made primitive.
+
+    With b^-1 = diag(D)^-1 X from eliminating [b | I], column j times
+    L = lcm |D_i| is (X_ij * (L / D_i))_i: a positive multiple of the
+    exact column.  Raises ValueError if b is singular.
+    """
+    n = len(b)
+    red = _int_inverse_rows(b)
     den = math.lcm(*(abs(red[i][i]) for i in range(n)))
     scale = [den // red[i][i] for i in range(n)]
     return [primitive([red[i][n + j] * scale[i] for i in range(n)])
             for j in range(n)]
+
+
+# -- Gaussian matrices on the integer core -------------------------------
+
+
+def _real_form(m: Matrix) -> tuple[list[list[int]], list[int]]:
+    """Integer rows of the real form [[A, -B], [B, A]] of m = A + iB.
+
+    Rows i and m.rows + i come from row i of m and are both scaled by
+    L_i, the positive lcm of that row's denominators; returns the rows
+    and the L_i.  The real form is m acting on C^n = R^n + iR^n, so its
+    rank is twice the rank of m, and when m is invertible its inverse is
+    the real form of m^-1.
+    """
+    top: list[list[int]] = []
+    bottom: list[list[int]] = []
+    dens: list[int] = []
+    for i in range(m.rows):
+        row = m.row(i)
+        parts = [e.re for e in row] + [e.im for e in row]
+        den = math.lcm(*(x.denominator for x in parts))
+        ints = [x.numerator * (den // x.denominator) for x in parts]
+        re, im = ints[:m.cols], ints[m.cols:]
+        top.append(re + [-x for x in im])
+        bottom.append(im + re)
+        dens.append(den)
+    return top + bottom, dens
+
+
+def rank(m: Matrix) -> int:
+    """Exact rank over the Gaussian rationals: half that of the real form."""
+    return int_rank(_real_form(m)[0]) // 2
+
+
+def inverse(m: Matrix) -> Matrix:
+    """Exact inverse.  Raises ValueError on non-square or singular input.
+
+    Eliminating [R | I] for the scaled real form R = diag(L) [[A, -B],
+    [B, A]] gives R^-1 = diag(D)^-1 X.  The first n columns of R^-1
+    diag(L) are C over D for m^-1 = C + iD.
+    """
+    if not m.is_square:
+        raise ValueError("only square matrices can be inverted")
+    n = m.rows
+    rows, dens = _real_form(m)
+    red = _int_inverse_rows(rows)
+
+    def part(i: int, j: int) -> Fraction:
+        return Fraction(red[i][2 * n + j] * dens[j], red[i][i])
+
+    return Matrix(n, n, [Scalar(part(i, j), part(n + i, j))
+                         for i in range(n) for j in range(n)])
 
 
 def rank_one_factor(m: Matrix) -> tuple[tuple[Scalar, ...], tuple[Scalar, ...]]:

@@ -16,12 +16,12 @@ truncated and no downstream check is allowed to treat them as complete.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import Matrix, Scalar, inverse, rank, rank_one_factor
+from .exact import (Matrix, Scalar, _int_vector, primitive, rank,
+                    rank_one_factor)
 
 Key = tuple[int, ...]
 
@@ -38,14 +38,6 @@ class Caps:
             raise ValueError("caps must be positive")
 
 
-def _primitive(parts: Sequence[int]) -> Key:
-    """Divide integer parts by their positive gcd (zero stays zero)."""
-    g = math.gcd(*parts)
-    if g > 1:
-        return tuple(x // g for x in parts)
-    return tuple(parts)
-
-
 def _projective_key(m: Matrix) -> Key:
     """The projective key of m: integer parts re, im, re, im, ...
 
@@ -57,8 +49,7 @@ def _projective_key(m: Matrix) -> Key:
     for e in m.entries:
         parts.append(e.re)
         parts.append(e.im)
-    den = math.lcm(*(x.denominator for x in parts))
-    return _primitive([x.numerator * (den // x.denominator) for x in parts])
+    return primitive(_int_vector(parts))
 
 
 def _key_product(a: Key, b: Key, n: int) -> Key:
@@ -80,7 +71,7 @@ def _key_product(a: Key, b: Key, n: int) -> Key:
                     im += x * v + y * u
             out.append(re)
             out.append(im)
-    return _primitive(out)
+    return primitive(out)
 
 
 def _canonical_from_key(key: Key, rows: int, cols: int,
@@ -256,16 +247,19 @@ def rank_one_ideal(closure: SemigroupClosure) -> tuple[ProjectiveElement, ...]:
 def algebra_dimension(gens: Sequence[Matrix]) -> int:
     """Dimension of the algebra spanned by the matrices and the identity.
 
-    The span is grown by multiplying an echelonized basis by generators
-    on both sides until it stabilises.  Matrices enter as projective
-    keys (a positive scaling does not change a span) and elimination is
-    fraction-free over the Gaussian integers: a row is reduced by a
-    basis row with pivot p as ``p * row - x * basis_row``, where x is
-    the row's entry in the pivot column, then divided by the gcd of its
-    parts.  Multipliers are Gaussian, so the span is complex-linear.
-    The value is the same over any field extending the rationals
-    because ranks of rational matrices do not change under field
-    extension.
+    The span is grown from the identity by multiplying new basis
+    elements by generators on the right until it stabilises.  Every
+    basis element is a word and every right product of one lies in the
+    span, so the span is closed under right multiplication by the
+    generators; as it contains I, it contains every word.  Matrices
+    enter as projective keys (a positive scaling does not change a
+    span) and elimination is fraction-free over the Gaussian integers:
+    a row is reduced by a basis row with pivot p as
+    ``p * row - x * basis_row``, where x is the row's entry in the pivot
+    column, then divided by the gcd of its parts.  Multipliers are
+    Gaussian, so the span is complex-linear.  The value is the same over
+    any field extending the rationals because ranks of rational matrices
+    do not change under field extension.
     """
     n = _validated_generators(gens)
     dim_target = n * n
@@ -287,7 +281,7 @@ def algebra_dimension(gens: Sequence[Matrix]) -> int:
                     d = e[k + 1]
                     out.append(p * a - q * b - x * c + y * d)
                     out.append(p * b + q * a - x * d - y * c)
-                row = _primitive(out)
+                row = primitive(out)
         lead = next((k for k in range(0, len(row), 2)
                      if row[k] or row[k + 1]), -1)
         if lead < 0:
@@ -297,17 +291,15 @@ def algebra_dimension(gens: Sequence[Matrix]) -> int:
 
     identity = tuple(1 if k % (2 * n + 2) == 0 else 0
                      for k in range(2 * n * n))
-    frontier: list[Key] = []
-    for m in [identity, *gkeys]:
-        if try_add(m):
-            frontier.append(m)
+    try_add(identity)
+    frontier = [identity]
     while frontier and len(basis) < dim_target:
         nxt: list[Key] = []
         for m in frontier:
             for g in gkeys:
-                for prod in (_key_product(m, g, n), _key_product(g, m, n)):
-                    if try_add(prod):
-                        nxt.append(prod)
+                prod = _key_product(m, g, n)
+                if try_add(prod):
+                    nxt.append(prod)
         frontier = nxt
     return len(basis)
 
@@ -326,25 +318,23 @@ def group_info(gens: Sequence[Matrix], caps: Caps = Caps(),
                closure: Optional[SemigroupClosure] = None) -> GroupInfo:
     """Invertibility of generators, and inverse-closure of the closure.
 
-    The inverse check is projective: the canonical form of each member's
-    inverse must itself be a member.  With a truncated closure (or any
-    singular generator) the inverse-closure property is not established
+    Inverse-closure is projective: the class of each member's inverse
+    must itself be a member.  It holds exactly when every generator is
+    invertible and the closure is complete, because a finite semigroup
+    of invertible classes is a group.  The powers of a member g fall in
+    finitely many classes, so g^k = c * g^l for some k > l and c > 0;
+    then g^(k-l) = c * I and g^-1 = g^(k-l-1) / c, a member's class (g's
+    own when k = l + 1, as g is then a multiple of I).  With a truncated
+    closure (or any singular generator) the property is not established
     and is reported False.
     """
-    _validated_generators(gens)
-    n = gens[0].rows
+    n = _validated_generators(gens)
     all_invertible = all(rank(g) == n for g in gens)
     if not all_invertible:
         return GroupInfo(False, False)
     if closure is None:
         closure = generate_closure(gens, caps)
-    if closure.truncated:
-        return GroupInfo(True, False)
-    for e in closure.elements:
-        # members are products of invertible generators, so inversion succeeds
-        if _projective_key(inverse(e.canonical)) not in closure.keys:
-            return GroupInfo(True, False)
-    return GroupInfo(True, True)
+    return GroupInfo(True, not closure.truncated)
 
 
 def xy_decomposition(ideal: Sequence[ProjectiveElement]) -> XYFactorization:
@@ -364,10 +354,7 @@ def xy_decomposition(ideal: Sequence[ProjectiveElement]) -> XYFactorization:
     for e in ideal:
         m = e.canonical
         nrows, ncols = m.rows, m.cols
-        r = rank(m)
-        if r > 1:
-            raise ValueError("xy decomposition requires rank at most 1")
-        if r == 0:
+        if m.is_zero():
             pairing.append((-1, -1))
             continue
         x, y = rank_one_factor(m)

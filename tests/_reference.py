@@ -2,7 +2,8 @@
 
 These are the straightforward rational versions.  For semigroups every
 product goes through ``matrix_product``, every canonical form through
-``Matrix.scale``, and spans are eliminated with ``Scalar`` division.
+``Matrix.scale``, spans are eliminated with ``Scalar`` division, and
+group closures are checked by inverting every member.
 For cones the dual is computed on canonical ``Fraction`` rays with
 ``Fraction`` Gauss-Jordan elimination and a ``Scalar`` ``inverse`` for
 the initial simplicial cone.  They are slow and obviously correct.
@@ -13,9 +14,10 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from matsemi import (Caps, Cone, Matrix, ProjectiveElement, Scalar,
-                     SemigroupClosure, canonical_ray)
+from matsemi import (Caps, Cone, GroupInfo, Matrix, ProjectiveElement, Scalar,
+                     SemigroupClosure, canonical_ray, generate_closure, rank)
 from matsemi.exact import _as_fraction, inverse, matrix_product
+from matsemi.semigroup import _projective_key
 
 
 def reference_canonical(m: Matrix) -> Matrix:
@@ -90,6 +92,23 @@ def reference_algebra_dimension(gens) -> int:
                         nxt.append(prod)
         frontier = nxt
     return len(basis)
+
+
+def reference_group_info(gens, caps: Caps = Caps(), closure=None) -> GroupInfo:
+    """Inverse-closure checked member by member with an exact inverse."""
+    n = gens[0].rows
+    all_invertible = all(rank(g) == n for g in gens)
+    if not all_invertible:
+        return GroupInfo(False, False)
+    if closure is None:
+        closure = generate_closure(gens, caps)
+    if closure.truncated:
+        return GroupInfo(True, False)
+    for e in closure.elements:
+        # members are products of invertible generators, so inversion succeeds
+        if _projective_key(inverse(e.canonical)) not in closure.keys:
+            return GroupInfo(True, False)
+    return GroupInfo(True, True)
 
 
 # -- cones -----------------------------------------------------------------

@@ -9,7 +9,7 @@ from matsemi import (Caps, Matrix, ProjectiveElement, Scalar,
                      xy_decomposition)
 from _fx import M, outer, ones
 from _reference import (reference_algebra_dimension, reference_canonical,
-                        reference_closure)
+                        reference_closure, reference_group_info)
 
 C3 = M([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
@@ -245,10 +245,56 @@ def test_algebra_dimension_is_complex_linear():
 
 
 def test_algebra_dimension_matches_scalar_reference():
+    # the reference multiplies by generators on both sides
     rng = random.Random(4242)
-    for _ in range(30):
-        gens = _random_generators(rng, gaussian=True)
-        assert algebra_dimension(gens) == reference_algebra_dimension(gens)
+    full = deficient = 0
+    for k in range(160):
+        gens = _random_generators(rng, gaussian=k % 2 == 1)
+        dim = algebra_dimension(gens)
+        assert dim == reference_algebra_dimension(gens)
+        n = gens[0].rows
+        full += dim == n * n
+        deficient += dim < n * n
+    assert full and deficient
+
+
+def _monomial_generators(rng, gaussian):
+    """(Gaussian) signed permutation matrices; a zero makes a generator
+    singular and a 2 gives it infinitely many positive-scaling classes."""
+    n = rng.randint(2, 3)
+    units = [1, -1] + ([Scalar(0, 1), Scalar(0, -1)] if gaussian else [])
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        flat = [Scalar(0)] * (n * n)
+        for i, j in enumerate(perm):
+            flat[i * n + j] = Scalar.of(rng.choice(units))
+        gens.append(Matrix(n, n, flat))
+    g = rng.randrange(len(gens))
+    extra = rng.choice((None, None, None, 0, 2))
+    if extra is not None:
+        flat = list(gens[g].entries)
+        k = next(k for k, e in enumerate(flat) if e)
+        flat[k] = Scalar(extra)
+        gens[g] = Matrix(n, n, flat)
+    return gens
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_group_info_matches_member_inverse_reference(gaussian):
+    rng = random.Random(5150 + gaussian)
+    outcomes = set()
+    for _ in range(60):
+        gens = _monomial_generators(rng, gaussian)
+        caps = Caps(max_elements=rng.choice((10, 60, 400)),
+                    max_word_length=rng.choice((4, 12)))
+        info = group_info(gens, caps)
+        assert info == reference_group_info(gens, caps)
+        outcomes.add((info.all_invertible,
+                      info.closed_under_inverse_within_cap))
+    # singular, truncated and complete groups all occur
+    assert outcomes == {(False, False), (True, False), (True, True)}
 
 
 def test_xy_decomposition_rejects_higher_rank():
