@@ -20,10 +20,14 @@ positive scaling, so it finds the rays the rational computation finds;
 ``contains`` and ``is_invariant`` clear denominators by a positive lcm
 and compare integer dot products.
 
-Membership questions (is a vector a nonnegative combination of given
-vectors) are answered by an exact phase-1 simplex with Bland's rule, so
-the package carries two independent engines for cone membership: the
-dual-inequality route and the simplex route.
+Properness and extreme rays are read off the same cached dual, since
+the largest subspace inside K is the orthogonal complement of span K*
+(Schrijver, *Theory of Linear and Integer Programming*, ch. 8):
+
+- K is pointed iff K* is solid, i.e. the dual vectors have rank dim;
+- a generator g of a pointed K is extreme iff the dual vectors c with
+  c.g = 0 have rank dim - 1.  Those c cut out the smallest face of K
+  containing g, whose dimension is dim minus their rank.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .exact import (Matrix, RationalLike, _as_fraction, _int_vector,
                     int_independent_subset, int_inverse_columns,
@@ -42,16 +46,22 @@ Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
 
 
+# Canonical rays are mostly 0 and +-1; sharing these keeps cones small.
+_UNITS = (Fraction(-1), Fraction(0), Fraction(1))
+
+
 def canonical_ray(v: Sequence[RationalLike]) -> Vec:
     """Scale by a positive rational so the largest |coordinate| is 1."""
     w = tuple(_as_fraction(x) for x in v)
     m = max((abs(x) for x in w), default=Fraction(0))
     if m == 0:
         raise ValueError("zero vector cannot represent a ray")
-    return tuple(x / m for x in w)
+    # |x / m| <= 1, so an integer quotient is -1, 0 or 1
+    return tuple(_UNITS[q.numerator + 1] if q.denominator == 1 else q
+                 for q in (x / m for x in w))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ray:
     """A ray of a cone, stored in canonical form."""
 
@@ -97,80 +107,11 @@ class Cone:
         return Cone(dim, tuple(Ray(v) for v in canon))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropernessReport:
     is_pointed: bool
     is_solid: bool
     is_proper: bool
-
-
-# -- exact phase-1 simplex ----------------------------------------------
-
-
-def _nonneg_combination(columns: Sequence[Vec],
-                        target: Vec) -> Optional[list[Fraction]]:
-    """Coefficients c >= 0 with sum c_k * columns[k] == target, or None.
-
-    Phase-1 simplex over exact rationals.  Bland's rule (smallest index
-    enters, smallest basis index on ratio ties) rules out cycling, so
-    termination is unconditional.
-    """
-    m = len(target)
-    n = len(columns)
-    if n == 0:
-        return [] if all(x == 0 for x in target) else None
-    rows = [[columns[k][i] for k in range(n)] for i in range(m)]
-    b = list(target)
-    for i in range(m):
-        if b[i] < 0:
-            b[i] = -b[i]
-            rows[i] = [-x for x in rows[i]]
-    # tableau columns: n structural + m artificial + rhs
-    tab = [rows[i]
-           + [Fraction(1 if j == i else 0) for j in range(m)]
-           + [b[i]]
-           for i in range(m)]
-    basis = [n + i for i in range(m)]
-    # reduced costs for minimizing the sum of artificials
-    obj = [Fraction(0)] * (n + m + 1)
-    for j in range(n + m):
-        cj = Fraction(0) if j < n else Fraction(1)
-        obj[j] = cj - sum(tab[i][j] for i in range(m))
-    obj[n + m] = -sum(b)  # negated objective value
-    while True:
-        enter = next((j for j in range(n + m) if obj[j] < 0), None)
-        if enter is None:
-            break
-        leave = -1
-        best: Optional[Fraction] = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][n + m] / tab[i][enter]
-                if (best is None or ratio < best
-                        or (ratio == best and basis[i] < basis[leave])):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            # phase-1 objective is bounded below by zero
-            raise AssertionError("unbounded phase-1 pivot")
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, tab[leave])]
-        basis[leave] = enter
-    value = sum(tab[i][n + m] for i in range(m) if basis[i] >= n)
-    if value != 0:
-        return None
-    out = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            out[basis[i]] = tab[i][n + m]
-    return out
 
 
 # -- cone operations ------------------------------------------------------
@@ -240,33 +181,28 @@ def dual(k: Cone) -> Cone:
 
 
 def properness(k: Cone) -> PropernessReport:
-    gens = [r.v for r in k.rays]
-    solid = int_rank([_int_vector(g) for g in gens]) == k.dim
-    if not gens:
-        pointed = True
-    else:
-        # pointed iff no nonzero nonnegative combination vanishes
-        cols = [g + (Fraction(1),) for g in gens]
-        tgt = tuple([Fraction(0)] * k.dim + [Fraction(1)])
-        pointed = _nonneg_combination(cols, tgt) is None
+    solid = int_rank([_int_vector(r.v) for r in k.rays]) == k.dim
+    # K is pointed iff its dual is solid
+    pointed = int_rank(_dual_ray_vectors(k)) == k.dim
     return PropernessReport(is_pointed=pointed, is_solid=solid,
                             is_proper=pointed and solid)
 
 
 def extreme_rays(k: Cone) -> tuple[Ray, ...]:
-    """The irredundant generators.  Requires a pointed cone."""
-    if not properness(k).is_pointed:
+    """The irredundant generators, in k's order.  Requires a pointed cone.
+
+    A generator g is extreme iff the dual vectors vanishing on g have
+    rank dim - 1; the +-lineality vectors of the dual vanish on every g.
+    """
+    duals = _dual_ray_vectors(k)
+    if int_rank(duals) != k.dim:
         raise ValueError("extreme rays are only defined for pointed cones")
-    keep = [r.v for r in k.rays]
-    for v in [r.v for r in k.rays]:
-        if v not in keep:
-            continue
-        others = [u for u in keep if u != v]
-        if not others:
-            continue
-        if _nonneg_combination(others, v) is not None:
-            keep = others
-    return tuple(Ray(v) for v in keep)
+
+    def is_extreme(r: Ray) -> bool:
+        g = _int_vector(r.v)
+        return int_rank([c for c in duals if _dot(c, g) == 0]) == k.dim - 1
+
+    return tuple(r for r in k.rays if is_extreme(r))
 
 
 def contains(k: Cone, v: Sequence[RationalLike]) -> bool:

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exact import Matrix, ONE, Scalar, classify_entries, matrix_product
+from .exact import Matrix, ONE, Scalar, matrix_product
 
 _MINUS_ONE = Scalar(-1)
 
@@ -160,6 +160,6 @@ def simultaneous_diag_sim(ms: Sequence[Matrix]) -> Optional[DiagonalWitness]:
         d = _sign_reduce(d)
     w = DiagonalWitness(d)
     for m in ms:
-        if not classify_entries(conjugate(w, m)).is_nonnegative:
+        if not all(x.is_nonneg_real for x in conjugate(w, m).entries):
             return None
     return w

@@ -174,7 +174,7 @@ def verify_group_theorem(gens: Sequence[Matrix],
     witness is computed and every conjugated member is verified to be
     nonnegative and monomial.
     """
-    _validate_theorem_input(gens)
+    n = _validate_theorem_input(gens)
     closure = generate_closure(gens, caps)
     info = group_info(gens, caps, closure=closure)
     hyps: dict[str, HypothesisCheck] = {}
@@ -197,7 +197,8 @@ def verify_group_theorem(gens: Sequence[Matrix],
         else "generated algebra spans a proper subspace")
 
     bad = [idx for idx, e in enumerate(closure.elements)
-           if not classify_entries(e.canonical).has_nonneg_diagonal]
+           if not all(e.canonical.entry(i, i).is_nonneg_real
+                      for i in range(n))]
     detail = ("every member has a nonnegative diagonal" if not bad
               else f"member {bad[0]} has a negative or non-real diagonal entry")
     if closure.truncated:
@@ -293,9 +294,8 @@ def verify_semigroup_theorem(gens: Sequence[Matrix],
         if witness is None:
             notes.append("no simultaneous diagonal similarity exists")
         else:
-            conclusion = all(
-                classify_entries(conjugate(witness, m)).is_nonnegative
-                for m in mats)
+            conclusion = all(x.is_nonneg_real for m in mats
+                             for x in conjugate(witness, m).entries)
             notes.append(f"witness verified on {len(mats)} members")
     else:
         notes.append("hypotheses not established; conclusion untested")

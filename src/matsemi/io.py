@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any
 
-from .cones import Cone, PropernessReport, Ray
-from .diagsim import DiagonalWitness, SignDiagonal
+from .cones import Cone, PropernessReport
+from .diagsim import DiagonalWitness
 from .exact import Matrix, Scalar
 from .semigroup import SemigroupClosure, XYFactorization
 from .spectral import SpectralResult
@@ -112,10 +112,6 @@ def cone_to_json(k: Cone) -> dict:
     return {"dim": k.dim, "rays": [[str(x) for x in r.v] for r in k.rays]}
 
 
-def vector_to_json(v: Sequence[Fraction]) -> list[str]:
-    return [str(x) for x in v]
-
-
 def load_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -139,10 +135,6 @@ def load_cone(path: str) -> Cone:
 
 def witness_to_json(w: DiagonalWitness) -> dict:
     return {"diagonal": [scalar_to_json(x) for x in w.d]}
-
-
-def sign_diagonal_to_json(s: SignDiagonal) -> dict:
-    return {"signs": list(s.signs)}
 
 
 def decomposition_to_json(rep: DecompositionReport) -> dict:

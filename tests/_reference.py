@@ -6,17 +6,23 @@ product goes through ``matrix_product``, every canonical form through
 group closures are checked by inverting every member.
 For cones the dual is computed on canonical ``Fraction`` rays with
 ``Fraction`` Gauss-Jordan elimination and a ``Scalar`` ``inverse`` for
-the initial simplicial cone.  They are slow and obviously correct.
+the initial simplicial cone, and membership, properness and extreme
+rays are decided by an exact phase-1 simplex, independently of the
+dual.  They are slow and obviously correct.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from typing import Optional, Sequence
 
-from matsemi import (Caps, Cone, GroupInfo, Matrix, ProjectiveElement, Scalar,
-                     SemigroupClosure, canonical_ray, generate_closure, rank)
-from matsemi.exact import _as_fraction, inverse, matrix_product
+from matsemi import (Caps, Cone, GroupInfo, Matrix, ProjectiveElement,
+                     PropernessReport, Ray, Scalar, SemigroupClosure,
+                     canonical_ray, generate_closure, rank)
+from matsemi.cones import Vec
+from matsemi.exact import (_as_fraction, _int_vector, int_rank, inverse,
+                           matrix_product)
 from matsemi.semigroup import _projective_key
 
 
@@ -270,3 +276,102 @@ def reference_is_invariant(m: Matrix, k: Cone) -> bool:
             if _dot(c, tuple(img)) < 0:
                 return False
     return True
+
+
+# -- exact phase-1 simplex ----------------------------------------------
+
+
+def _nonneg_combination(columns: Sequence[Vec],
+                        target: Vec) -> Optional[list[Fraction]]:
+    """Coefficients c >= 0 with sum c_k * columns[k] == target, or None.
+
+    Phase-1 simplex over exact rationals.  Bland's rule (smallest index
+    enters, smallest basis index on ratio ties) rules out cycling, so
+    termination is unconditional.
+    """
+    m = len(target)
+    n = len(columns)
+    if n == 0:
+        return [] if all(x == 0 for x in target) else None
+    rows = [[columns[k][i] for k in range(n)] for i in range(m)]
+    b = list(target)
+    for i in range(m):
+        if b[i] < 0:
+            b[i] = -b[i]
+            rows[i] = [-x for x in rows[i]]
+    # tableau columns: n structural + m artificial + rhs
+    tab = [rows[i]
+           + [Fraction(1 if j == i else 0) for j in range(m)]
+           + [b[i]]
+           for i in range(m)]
+    basis = [n + i for i in range(m)]
+    # reduced costs for minimizing the sum of artificials
+    obj = [Fraction(0)] * (n + m + 1)
+    for j in range(n + m):
+        cj = Fraction(0) if j < n else Fraction(1)
+        obj[j] = cj - sum(tab[i][j] for i in range(m))
+    obj[n + m] = -sum(b)  # negated objective value
+    while True:
+        enter = next((j for j in range(n + m) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave = -1
+        best: Optional[Fraction] = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][n + m] / tab[i][enter]
+                if (best is None or ratio < best
+                        or (ratio == best and basis[i] < basis[leave])):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            # phase-1 objective is bounded below by zero
+            raise AssertionError("unbounded phase-1 pivot")
+        piv = tab[leave][enter]
+        tab[leave] = [x / piv for x in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        if obj[enter] != 0:
+            f = obj[enter]
+            obj = [x - f * y for x, y in zip(obj, tab[leave])]
+        basis[leave] = enter
+    value = sum(tab[i][n + m] for i in range(m) if basis[i] >= n)
+    if value != 0:
+        return None
+    out = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            out[basis[i]] = tab[i][n + m]
+    return out
+
+
+def reference_properness(k: Cone) -> PropernessReport:
+    gens = [r.v for r in k.rays]
+    solid = int_rank([_int_vector(g) for g in gens]) == k.dim
+    if not gens:
+        pointed = True
+    else:
+        # pointed iff no nonzero nonnegative combination vanishes
+        cols = [g + (Fraction(1),) for g in gens]
+        tgt = tuple([Fraction(0)] * k.dim + [Fraction(1)])
+        pointed = _nonneg_combination(cols, tgt) is None
+    return PropernessReport(is_pointed=pointed, is_solid=solid,
+                            is_proper=pointed and solid)
+
+
+def reference_extreme_rays(k: Cone) -> tuple[Ray, ...]:
+    """The irredundant generators.  Requires a pointed cone."""
+    if not reference_properness(k).is_pointed:
+        raise ValueError("extreme rays are only defined for pointed cones")
+    keep = [r.v for r in k.rays]
+    for v in [r.v for r in k.rays]:
+        if v not in keep:
+            continue
+        others = [u for u in keep if u != v]
+        if not others:
+            continue
+        if _nonneg_combination(others, v) is not None:
+            keep = others
+    return tuple(Ray(v) for v in keep)

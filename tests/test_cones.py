@@ -7,10 +7,10 @@ import pytest
 from matsemi import (Cone, Matrix, Ray, canonical_ray, contains, dual,
                      extreme_rays, is_invariant, properness)
 from matsemi import cones
-from matsemi.cones import _nonneg_combination
 from _fx import M, ones
-from _reference import (reference_contains, reference_dual_ray_vectors,
-                        reference_is_invariant)
+from _reference import (_nonneg_combination, reference_contains,
+                        reference_dual_ray_vectors, reference_extreme_rays,
+                        reference_is_invariant, reference_properness)
 
 
 def frac_rays(k):
@@ -246,6 +246,37 @@ def test_integer_dual_matches_fraction_reference():
             seen["invariant"].add(got)
     assert seen["contains"] == seen["invariant"] == {True, False}
     assert min(seen["lineality"], seen["empty"], seen["rational"]) >= 10
+
+
+def test_properness_and_extreme_rays_match_simplex_reference():
+    rng = random.Random(96)
+    seen = {"pointed": 0, "not_pointed": 0, "not_solid": 0, "redundant": 0}
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        rays = []
+        for _ in range(rng.randint(0, 6)):
+            v = [random_rational(rng) for _ in range(n)]
+            if any(v):
+                rays.append(v)
+        if rays and rng.random() < 0.25:
+            rays.append([-x for x in rng.choice(rays)])  # a lineality line
+        k = Cone.of(n, rays)
+        rep = properness(k)
+        assert rep == reference_properness(k)
+        assert not hasattr(rep, "__dict__")
+        seen["not_solid"] += not rep.is_solid
+        if not rep.is_pointed:
+            seen["not_pointed"] += 1
+            with pytest.raises(ValueError):
+                extreme_rays(k)
+            continue
+        seen["pointed"] += 1
+        ext = extreme_rays(k)
+        assert [r.v for r in ext] == [r.v for r in reference_extreme_rays(k)]
+        assert all(any(r is g for g in k.rays) for r in ext)
+        assert not any(hasattr(r, "__dict__") for r in ext)
+        seen["redundant"] += len(ext) < len(k.rays)
+    assert min(seen.values()) >= 100, seen
 
 
 def test_dual_cache_contract():
