@@ -8,84 +8,53 @@ decomposability, invariant polyhedral cones, projective semigroup
 closures, and algebra irreducibility.
 """
 
-from .cones import (Cone, PropernessReport, Ray, canonical_ray, contains,
-                    dual, extreme_rays, is_invariant, properness)
-from .diagsim import (DiagonalWitness, SignDiagonal, conjugate,
-                      diag_sim_nonneg, simultaneous_diag_sim)
-from .exact import (EntryClassification, Matrix, Scalar, classify_entries,
-                    inverse, matrix_product, matrix_vector, rank,
-                    rank_one_factor)
-from .harness import (FixtureSummary, SubsetReport, TheoremReport,
-                      plant_group_instance, plant_semigroup_instance,
-                      run_fixtures, sign_search_oracle,
-                      subset_invariance_oracle, verify_group_theorem,
-                      verify_semigroup_theorem)
-from .semigroup import (Caps, GroupInfo, ProjectiveElement, SemigroupClosure,
-                        XYFactorization, algebra_dimension, generate_closure,
-                        group_info, is_irreducible, projective_canonical,
-                        rank_one_ideal, xy_decomposition)
-from .spectral import NonConvergenceError, SpectralResult, is_primitive, perron
-from .structure import (DecompositionKind, DecompositionReport,
-                        PatternDigraph, classify_decomposability,
-                        pattern_digraph, scc_condensation, union_pattern)
+import importlib
+
+# The public names of each submodule.  Submodules load on first use, so
+# a command imports only what it runs.
+_EXPORTS = {
+    "cones": ("Cone", "PropernessReport", "Ray", "canonical_ray", "contains",
+              "dual", "extreme_rays", "is_invariant", "properness"),
+    "diagsim": ("DiagonalWitness", "SignDiagonal", "conjugate",
+                "diag_sim_nonneg", "simultaneous_diag_sim"),
+    "exact": ("EntryClassification", "Matrix", "Scalar", "classify_entries",
+              "inverse", "matrix_product", "matrix_vector", "rank",
+              "rank_one_factor"),
+    "harness": ("FixtureSummary", "SubsetReport", "TheoremReport",
+                "plant_group_instance", "plant_semigroup_instance",
+                "run_fixtures", "sign_search_oracle",
+                "subset_invariance_oracle", "verify_group_theorem",
+                "verify_semigroup_theorem"),
+    "semigroup": ("Caps", "GroupInfo", "ProjectiveElement", "SemigroupClosure",
+                  "XYFactorization", "algebra_dimension", "generate_closure",
+                  "group_info", "is_irreducible", "projective_canonical",
+                  "rank_one_ideal", "xy_decomposition"),
+    "spectral": ("NonConvergenceError", "SpectralResult", "is_primitive",
+                 "perron"),
+    "structure": ("DecompositionKind", "DecompositionReport", "PatternDigraph",
+                  "classify_decomposability", "pattern_digraph",
+                  "scc_condensation", "union_pattern"),
+}
+_SOURCES = {name: module for module, names in _EXPORTS.items()
+            for name in names}
+# Submodules reachable as attributes after a bare ``import matsemi``.
+_SUBMODULES = frozenset(_EXPORTS) | {"io", "_kernels"}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Caps",
-    "Cone",
-    "DecompositionKind",
-    "DecompositionReport",
-    "DiagonalWitness",
-    "EntryClassification",
-    "FixtureSummary",
-    "GroupInfo",
-    "Matrix",
-    "NonConvergenceError",
-    "PatternDigraph",
-    "ProjectiveElement",
-    "PropernessReport",
-    "Ray",
-    "Scalar",
-    "SemigroupClosure",
-    "SignDiagonal",
-    "SpectralResult",
-    "SubsetReport",
-    "TheoremReport",
-    "XYFactorization",
-    "algebra_dimension",
-    "canonical_ray",
-    "classify_decomposability",
-    "classify_entries",
-    "conjugate",
-    "contains",
-    "diag_sim_nonneg",
-    "dual",
-    "extreme_rays",
-    "generate_closure",
-    "group_info",
-    "inverse",
-    "is_invariant",
-    "is_irreducible",
-    "is_primitive",
-    "matrix_product",
-    "matrix_vector",
-    "pattern_digraph",
-    "perron",
-    "plant_group_instance",
-    "plant_semigroup_instance",
-    "projective_canonical",
-    "properness",
-    "rank",
-    "rank_one_factor",
-    "rank_one_ideal",
-    "run_fixtures",
-    "scc_condensation",
-    "sign_search_oracle",
-    "simultaneous_diag_sim",
-    "subset_invariance_oracle",
-    "union_pattern",
-    "verify_group_theorem",
-    "verify_semigroup_theorem",
-    "xy_decomposition",
-]
+__all__ = sorted(_SOURCES)
+
+
+def __getattr__(name: str):
+    # Resolved on every access, never cached here: whatever the submodule
+    # binds now (a test may have replaced the function) is what callers get.
+    source = _SOURCES.get(name)
+    if source is None:
+        if name in _SUBMODULES:
+            return importlib.import_module(f"{__name__}.{name}")
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{source}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_SOURCES))

@@ -15,18 +15,17 @@ import dataclasses
 import json
 import sys
 import traceback
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import io
-from .cones import dual, extreme_rays, is_invariant, properness
 from .diagsim import diag_sim_nonneg
 from .exact import classify_entries, rank
-from .harness import (run_fixtures, sign_search_oracle,
-                      subset_invariance_oracle, verify_group_theorem,
-                      verify_semigroup_theorem)
-from .semigroup import Caps, algebra_dimension, generate_closure
-from .spectral import NonConvergenceError, perron
 from .structure import classify_decomposability
+
+# The other subcommands import what they run when they run, so a cold
+# `analyze` loads only the modules it needs.
+if TYPE_CHECKING:
+    from .semigroup import Caps
 
 
 def _emit(obj) -> None:
@@ -34,6 +33,8 @@ def _emit(obj) -> None:
 
 
 def _caps_from_args(args) -> Caps:
+    from .semigroup import Caps
+
     return Caps(max_elements=args.max_elements,
                 max_word_length=args.max_word_length)
 
@@ -56,6 +57,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_cone(args) -> int:
+    from .cones import dual, extreme_rays, is_invariant, properness
+
     k = io.load_cone(args.rays)
     if args.action == "dual":
         _emit(io.cone_to_json(dual(k)))
@@ -74,6 +77,8 @@ def _cmd_cone(args) -> int:
 
 
 def _cmd_closure(args) -> int:
+    from .semigroup import generate_closure
+
     gens = io.load_generators(args.gens)
     closure = generate_closure(gens, _caps_from_args(args))
     _emit(io.closure_to_json(closure, include_matrices=not args.words_only))
@@ -81,6 +86,8 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_irreducible(args) -> int:
+    from .semigroup import algebra_dimension
+
     gens = io.load_generators(args.gens)
     n = gens[0].rows
     d = algebra_dimension(gens)
@@ -90,13 +97,21 @@ def _cmd_irreducible(args) -> int:
 
 
 def _cmd_perron(args) -> int:
+    from .spectral import NonConvergenceError, perron
+
     m = io.load_matrix(args.matrix)
-    res = perron(m, tol=args.tol, max_iters=args.max_iters)
+    try:
+        res = perron(m, tol=args.tol, max_iters=args.max_iters)
+    except NonConvergenceError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     _emit(io.spectral_to_json(res))
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from .harness import verify_group_theorem, verify_semigroup_theorem
+
     gens = io.load_generators(args.gens)
     caps = _caps_from_args(args)
     if args.kind == "group":
@@ -108,12 +123,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
+    from .harness import run_fixtures
+
     summary = run_fixtures(args.filter)
     _emit(summary.to_json())
     return 0 if summary.all_passed else 1
 
 
 def _cmd_oracle(args) -> int:
+    from .harness import sign_search_oracle, subset_invariance_oracle
+
     if args.kind == "signs":
         ms = io.load_generators(args.input)
         s = sign_search_oracle(ms)
@@ -194,8 +213,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, ZeroDivisionError, NonConvergenceError,
-            OSError, json.JSONDecodeError) as e:
+    except (ValueError, ZeroDivisionError, OSError,
+            json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

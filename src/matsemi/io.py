@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .cones import Cone, PropernessReport
-from .diagsim import DiagonalWitness
 from .exact import Matrix, Scalar
-from .semigroup import SemigroupClosure, XYFactorization
-from .spectral import SpectralResult
-from .structure import DecompositionReport
+
+if TYPE_CHECKING:
+    from .cones import Cone, PropernessReport
+    from .diagsim import DiagonalWitness
+    from .semigroup import SemigroupClosure, XYFactorization
+    from .spectral import SpectralResult
+    from .structure import DecompositionReport
 
 
 def _fraction_from_json(x: Any) -> Fraction:
@@ -98,6 +100,8 @@ def generators_from_json(obj: dict) -> list[Matrix]:
 
 
 def cone_from_json(obj: dict) -> Cone:
+    from .cones import Cone
+
     try:
         dim = obj["dim"]
         rays = obj["rays"]

@@ -5,8 +5,9 @@ package cares about (signs, zero patterns, diagonal similarity), so
 closures are computed projectively.  Inside, every positive-scaling
 class is represented by one projective key: the matrix's real and
 imaginary parts, interleaved, cleared of denominators and divided by
-their positive gcd.  Products of keys are plain integer arithmetic,
-and the closure is a set of keys.  At the boundary each member is
+their positive gcd.  Products of keys are plain integer arithmetic on
+each generator's nonzero column entries, and the closure is a set of
+keys.  At the boundary each member is
 handed out in canonical form, scaled so the largest entry magnitude
 component is 1.  That keeps closures finite in the cases of interest
 and keeps entry sizes bounded.  Closures that hit a cap are marked
@@ -52,23 +53,37 @@ def _projective_key(m: Matrix) -> Key:
     return primitive(_int_vector(parts))
 
 
-def _key_product(a: Key, b: Key, n: int) -> Key:
-    """Key of the product of the n x n matrices with keys a and b."""
+KeyColumns = tuple[tuple[tuple[int, int, int], ...], ...]
+
+
+def _key_columns(key: Key, n: int) -> KeyColumns:
+    """The nonzero entries of each column of an n x n key.
+
+    Column j lists its nonzero entries (k, j) as ``(2k, re, im)``; 2k is
+    the offset of entry k within a key row.  Generators are turned into
+    columns once, so a product skips their zero entries for free.
+    """
+    row_len = 2 * n
+    return tuple(
+        tuple((k, key[k * n + j], key[k * n + j + 1])
+              for k in range(0, row_len, 2)
+              if key[k * n + j] or key[k * n + j + 1])
+        for j in range(0, row_len, 2))
+
+
+def _key_product(a: Key, bcols: KeyColumns, n: int) -> Key:
+    """Key of the product of the n x n matrix with key a and the one
+    whose key has columns bcols."""
     out: list[int] = []
     row_len = 2 * n
     for i in range(0, row_len * n, row_len):
-        arow = a[i:i + row_len]
-        for j in range(0, row_len, 2):
+        for col in bcols:
             re = im = 0
-            for k in range(0, row_len, 2):
-                x = arow[k]
-                y = arow[k + 1]
-                if x or y:
-                    bk = k * n + j
-                    u = b[bk]
-                    v = b[bk + 1]
-                    re += x * u - y * v
-                    im += x * v + y * u
+            for k, u, v in col:
+                x = a[i + k]
+                y = a[i + k + 1]
+                re += x * u - y * v
+                im += x * v + y * u
             out.append(re)
             out.append(im)
     return primitive(out)
@@ -202,6 +217,7 @@ def generate_closure(gens: Sequence[Matrix],
     """
     n = _validated_generators(gens)
     gkeys = [_projective_key(g) for g in gens]
+    gcols = [_key_columns(c, n) for c in gkeys]
     words: dict[Key, tuple[int, ...]] = {}
     truncated = False
     for gi, c in enumerate(gkeys):
@@ -217,7 +233,7 @@ def generate_closure(gens: Sequence[Matrix],
         qi += 1
         word = words[u]
         extendable = len(word) < caps.max_word_length
-        for gi, g in enumerate(gkeys):
+        for gi, g in enumerate(gcols):
             c = _key_product(u, g, n)
             if c in words:
                 continue
@@ -263,7 +279,7 @@ def algebra_dimension(gens: Sequence[Matrix]) -> int:
     """
     n = _validated_generators(gens)
     dim_target = n * n
-    gkeys = [_projective_key(g) for g in gens]
+    gcols = [_key_columns(_projective_key(g), n) for g in gens]
     basis: list[tuple[int, Key]] = []  # (pivot part index, echelon row)
 
     def try_add(row: Key) -> bool:
@@ -296,7 +312,7 @@ def algebra_dimension(gens: Sequence[Matrix]) -> int:
     while frontier and len(basis) < dim_target:
         nxt: list[Key] = []
         for m in frontier:
-            for g in gkeys:
+            for g in gcols:
                 prod = _key_product(m, g, n)
                 if try_add(prod):
                     nxt.append(prod)

@@ -3,7 +3,10 @@
 These are the straightforward rational versions.  For semigroups every
 product goes through ``matrix_product``, every canonical form through
 ``Matrix.scale``, spans are eliminated with ``Scalar`` division, and
-group closures are checked by inverting every member.
+group closures are checked by inverting every member, and key products
+are the dense integer loop over every entry.  Diagonal similarity is
+decided on ``Scalar`` values: propagated along the support graph, reduced
+to signs when real, and verified by conjugating every matrix.
 For cones the dual is computed on canonical ``Fraction`` rays with
 ``Fraction`` Gauss-Jordan elimination and a ``Scalar`` ``inverse`` for
 the initial simplicial cone, and membership, properness and extreme
@@ -14,16 +17,17 @@ dual.  They are slow and obviously correct.
 from __future__ import annotations
 
 import functools
+from collections import deque
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from matsemi import (Caps, Cone, GroupInfo, Matrix, ProjectiveElement,
-                     PropernessReport, Ray, Scalar, SemigroupClosure,
-                     canonical_ray, generate_closure, rank)
+from matsemi import (Caps, Cone, DiagonalWitness, GroupInfo, Matrix,
+                     ProjectiveElement, PropernessReport, Ray, Scalar,
+                     SemigroupClosure, canonical_ray, generate_closure, rank)
 from matsemi.cones import Vec
-from matsemi.exact import (_as_fraction, _int_vector, int_rank, inverse,
-                           matrix_product)
-from matsemi.semigroup import _projective_key
+from matsemi.exact import (ONE, _as_fraction, _int_vector, int_rank, inverse,
+                           matrix_product, primitive)
+from matsemi.semigroup import Key, _projective_key
 
 
 def reference_canonical(m: Matrix) -> Matrix:
@@ -115,6 +119,130 @@ def reference_group_info(gens, caps: Caps = Caps(), closure=None) -> GroupInfo:
         if _projective_key(inverse(e.canonical)) not in closure.keys:
             return GroupInfo(True, False)
     return GroupInfo(True, True)
+
+
+def reference_key_product(a: Key, b: Key, n: int) -> Key:
+    """Key of the product of the n x n matrices with keys a and b."""
+    out: list[int] = []
+    row_len = 2 * n
+    for i in range(0, row_len * n, row_len):
+        arow = a[i:i + row_len]
+        for j in range(0, row_len, 2):
+            re = im = 0
+            for k in range(0, row_len, 2):
+                x = arow[k]
+                y = arow[k + 1]
+                if x or y:
+                    bk = k * n + j
+                    u = b[bk]
+                    v = b[bk + 1]
+                    re += x * u - y * v
+                    im += x * v + y * u
+            out.append(re)
+            out.append(im)
+    return primitive(out)
+
+
+# -- diagonal similarity ---------------------------------------------------
+
+_MINUS_ONE = Scalar(-1)
+
+
+def reference_conjugate(w: DiagonalWitness, m: Matrix) -> Matrix:
+    """D m D^{-1}, entrywise d_i * m_ij / d_j.
+
+    Each 1/d_j is formed once.  Diagonal and zero entries are kept as
+    they are, and an entry whose ratio d_i/d_j is +1 or -1 is copied or
+    negated, so sign witnesses cost no multiplications.
+    """
+    if not m.is_square or m.rows != len(w.d):
+        raise ValueError("witness size does not match matrix")
+    n = m.rows
+    d = w.d
+    neg = [-x for x in d]
+    inv = [ONE / x for x in d]
+    flat = list(m.entries)
+    for i in range(n):
+        di = d[i]
+        for j in range(n):
+            e = flat[i * n + j]
+            if i == j or not e or di == d[j]:
+                continue
+            flat[i * n + j] = -e if di == neg[j] else di * e * inv[j]
+    return Matrix(n, n, flat)
+
+
+def _support_adjacency(ms: Sequence[Matrix]) -> list[list[int]]:
+    n = ms[0].rows
+    nbr: list[set[int]] = [set() for _ in range(n)]
+    for m in ms:
+        for i in range(n):
+            for j in range(n):
+                if i != j and (m.entry(i, j) or m.entry(j, i)):
+                    nbr[i].add(j)
+                    nbr[j].add(i)
+    return [sorted(s) for s in nbr]
+
+
+def _edge_constraint(ms: Sequence[Matrix], u: int, v: int) -> Scalar:
+    """Value forced for d_v given d_u = 1, from the first nonzero entry.
+
+    Scans members in order, orientation (u, v) before (v, u).  A valid
+    witness must make d_u * m_uv / d_v positive, so d_v = d_u * m_uv up
+    to positive scaling; the reverse orientation forces d_v = d_u / m_vu.
+    """
+    for m in ms:
+        e = m.entry(u, v)
+        if e:
+            return e
+        e = m.entry(v, u)
+        if e:
+            return ONE / e
+    raise AssertionError("no constraint on a support edge")
+
+
+def _propagate(ms: Sequence[Matrix]) -> tuple[Scalar, ...]:
+    n = ms[0].rows
+    adj = _support_adjacency(ms)
+    d: list[Optional[Scalar]] = [None] * n
+    for root in range(n):
+        if d[root] is not None:
+            continue
+        d[root] = ONE
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if d[v] is None:
+                    d[v] = d[u] * _edge_constraint(ms, u, v)
+                    queue.append(v)
+    return tuple(x if x is not None else ONE for x in d)
+
+
+def _sign_reduce(d: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
+    # real case: only the signs matter, so collapse magnitudes to 1
+    return tuple(ONE if x.re > 0 else _MINUS_ONE for x in d)
+
+
+def reference_simultaneous_diag_sim(
+        ms: Sequence[Matrix]) -> Optional[DiagonalWitness]:
+    """One witness D making every D m D^{-1} nonnegative, or None."""
+    if not ms:
+        raise ValueError("empty matrix collection")
+    n = ms[0].rows
+    for m in ms:
+        if not m.is_square:
+            raise ValueError("diagonal similarity requires square matrices")
+        if m.rows != n:
+            raise ValueError("all matrices must have the same size")
+    d = _propagate(ms)
+    if all(x.is_real for x in d):
+        d = _sign_reduce(d)
+    w = DiagonalWitness(d)
+    for m in ms:
+        if not all(x.is_nonneg_real for x in reference_conjugate(w, m).entries):
+            return None
+    return w
 
 
 # -- cones -----------------------------------------------------------------

@@ -265,3 +265,28 @@ def test_exact_commands_do_not_import_numpy(paths):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.rstrip().endswith("cold-start-ok")
+
+
+ANALYZE_ONLY = """
+import sys
+import matsemi.cli as cli
+assert cli.main(["analyze", sys.argv[1]]) == 0
+loaded = sorted(m for m in ("matsemi.harness", "matsemi.semigroup",
+                            "matsemi.cones", "matsemi.spectral")
+                if m in sys.modules)
+assert not loaded, loaded
+print("analyze-only-ok")
+"""
+
+
+def test_analyze_imports_only_what_it_runs(paths):
+    m = paths("m.json", matrix_to_json(M([[1, -1], [0, 2]])))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(matsemi.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", ANALYZE_ONLY, m],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().endswith("analyze-only-ok")

@@ -7,6 +7,7 @@ from matsemi import (DiagonalWitness, Matrix, Scalar, SignDiagonal,
                      classify_entries, conjugate, diag_sim_nonneg,
                      simultaneous_diag_sim)
 from _fx import M, outer, ones, random_int_matrix, random_signs, sign_conjugate
+from _reference import reference_simultaneous_diag_sim
 
 
 def test_sign_diagonal_validation():
@@ -169,3 +170,109 @@ def test_complex_cycle_obstruction():
         [1, 0, 0],
     ])
     assert diag_sim_nonneg(m2) is not None
+
+
+_VALUES = (1, 2, 3, Fraction(1, 2), Fraction(5, 3))
+
+
+def _support_components(ms):
+    n = ms[0].rows
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for m in ms:
+        for i in range(n):
+            for j in range(n):
+                if i != j and m.entry(i, j):
+                    parent[find(i)] = find(j)
+    return len({find(i) for i in range(n)})
+
+
+def _planted_real_set(rng):
+    """1-4 real rational n x n matrices (n = 1-6) and what was planted.
+
+    Nonnegative members, some of them zero, on an optional block
+    pattern (disconnected support), conjugated by one sign diagonal; then
+    possibly one defect: an opposite-sign 2-cycle, a negative diagonal
+    entry, or a random sign flip.
+    """
+    n = rng.randint(1, 6)
+    blocks = [rng.randrange(rng.choice((1, 1, 2, 3))) for _ in range(n)]
+    density = rng.choice((0.3, 0.6, 1.0))
+    signs = random_signs(rng, n)
+    mats = []
+    for _ in range(rng.randint(1, 4)):
+        zero = rng.random() < 0.15
+        rows = [[0 if zero or blocks[i] != blocks[j] or rng.random() > density
+                 else rng.choice(_VALUES) for j in range(n)] for i in range(n)]
+        mats.append(sign_conjugate(M(rows), signs))
+    defect = rng.choice((None, None, "two_cycle", "negative_diagonal",
+                         "flip"))
+    k = rng.randrange(len(mats))
+    flat = list(mats[k].entries)
+    if defect == "two_cycle" and n >= 2:
+        i, j = rng.sample(range(n), 2)
+        s = signs[i] * signs[j]
+        flat[i * n + j] = Scalar(s * rng.choice(_VALUES))
+        flat[j * n + i] = Scalar(-s * rng.choice(_VALUES))
+    elif defect == "negative_diagonal":
+        i = rng.randrange(n)
+        flat[i * n + i] = Scalar(-rng.choice(_VALUES))
+    elif defect == "flip":
+        e = rng.randrange(n * n)
+        flat[e] = -flat[e] if flat[e] else Scalar(-1)
+    mats[k] = Matrix(n, n, flat)
+    return mats
+
+
+def test_sign_path_matches_scalar_reference_on_real_sets():
+    rng = random.Random(8008)
+    feasible = infeasible = multi = 0
+    for _ in range(1200):
+        mats = _planted_real_set(rng)
+        got = simultaneous_diag_sim(mats)
+        want = reference_simultaneous_diag_sim(mats)
+        if want is None:
+            assert got is None
+            infeasible += 1
+        else:
+            assert got is not None and got.d == want.d
+            feasible += 1
+        multi += _support_components(mats) > 1
+    assert feasible >= 100 and infeasible >= 100 and multi >= 100, \
+        (feasible, infeasible, multi)
+
+
+_GAUSSIAN_UNITS = (Scalar(1), Scalar(0, 1), Scalar(1, 1), Scalar(2, -1))
+
+
+def test_complex_path_matches_scalar_reference():
+    # Gaussian diagonals plant feasible sets; a non-real entry under a
+    # real propagated diagonal (or on the diagonal) makes them infeasible
+    rng = random.Random(8009)
+    feasible = infeasible = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        d = DiagonalWitness(tuple(
+            [Scalar(1)] + [rng.choice(_GAUSSIAN_UNITS) for _ in range(n - 1)]))
+        mats = [conjugate(d, random_int_matrix(rng, n, n, 0, 2))
+                for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.4:
+            k = rng.randrange(len(mats))
+            flat = list(mats[k].entries)
+            flat[rng.randrange(n * n)] = Scalar(rng.choice((1, -1)),
+                                                rng.choice((1, -1)))
+            mats[k] = Matrix(n, n, flat)
+        got = simultaneous_diag_sim(mats)
+        want = reference_simultaneous_diag_sim(mats)
+        if want is None:
+            assert got is None
+            infeasible += 1
+        else:
+            assert got is not None and got.d == want.d
+            feasible += 1
+    assert feasible >= 30 and infeasible >= 30, (feasible, infeasible)

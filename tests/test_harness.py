@@ -87,6 +87,22 @@ def test_subset_oracle_prefers_small_then_lex():
     assert subset_invariance_oracle(m).subset == (2,)
 
 
+def test_subset_oracle_scans_past_the_first_chunk():
+    # n = 13: the 1092 subsets of size <= 4 and the first 956 of size 5
+    # fill the first 2048-mask chunk.  Two cycles, {0..7} and {8..12},
+    # with edges only from rows in the second to columns in the first:
+    # the only invariant subset is {8..12}, the last 5-subset.
+    n = 13
+    rows = [[0] * n for _ in range(n)]
+    for block in (range(8), range(8, n)):
+        for i in block:
+            rows[i][block[(i - block[0] + 1) % len(block)]] = 1
+    rows[9][3] = rows[12][0] = 1
+    assert subset_invariance_oracle(M(rows)).subset == tuple(range(8, n))
+    rows[3][9] = 1  # now irreducible: every chunk is scanned
+    assert not subset_invariance_oracle(M(rows)).decomposable
+
+
 def test_subset_oracle_agrees_with_scc_classifier():
     rng = random.Random(1235)
     for _ in range(150):

@@ -8,8 +8,10 @@ from matsemi import (Caps, Matrix, ProjectiveElement, Scalar,
                      is_irreducible, projective_canonical, rank_one_ideal,
                      xy_decomposition)
 from _fx import M, outer, ones
+from matsemi.semigroup import _key_columns, _key_product
 from _reference import (reference_algebra_dimension, reference_canonical,
-                        reference_closure, reference_group_info)
+                        reference_closure, reference_group_info,
+                        reference_key_product)
 
 C3 = M([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
@@ -178,13 +180,27 @@ def _random_scalar(rng, gaussian):
     return Scalar(rng.choice(_PARTS), rng.choice(_PARTS) if gaussian else 0)
 
 
-def _random_generators(rng, gaussian):
+def _random_generators(rng, gaussian, kinds=("dense", "monomial")):
     n = rng.randint(2, 3)
-    kind = rng.choice(("dense", "monomial"))
+    kind = rng.choice(kinds)
     gens = []
     for _ in range(rng.randint(1, 3)):
         if kind == "dense":
             flat = [_random_scalar(rng, gaussian) for _ in range(n * n)]
+        elif kind == "weighted_monomial":
+            # nonzero weights other than units: closures grow until a cap
+            perm = list(range(n))
+            rng.shuffle(perm)
+            flat = [Scalar(0)] * (n * n)
+            for i, j in enumerate(perm):
+                e = Scalar(0)
+                while not e:
+                    e = _random_scalar(rng, gaussian)
+                flat[i * n + j] = e
+        elif kind == "outer":
+            u = [_random_scalar(rng, gaussian) for _ in range(n)]
+            v = [_random_scalar(rng, gaussian) for _ in range(n)]
+            flat = [a * b for a in u for b in v]
         else:
             # signed (Gaussian) unit permutation matrices: finite groups,
             # so some closures complete within the caps
@@ -203,8 +219,12 @@ def _random_generators(rng, gaussian):
 def test_closure_matches_fraction_reference(gaussian):
     rng = random.Random(20260 + gaussian)
     hit = {"elements": 0, "word_length": 0, "complete": 0}
-    for _ in range(40):
-        gens = _random_generators(rng, gaussian)
+    for k in range(80):
+        # the second half draws rank-one outer products and weighted
+        # monomials, whose keys are mostly zero columns
+        gens = _random_generators(
+            rng, gaussian, ("dense", "monomial") if k < 40
+            else ("weighted_monomial", "outer"))
         caps = Caps(max_elements=rng.choice((6, 25, 60)),
                     max_word_length=rng.choice((2, 3, 6)))
         got = generate_closure(gens, caps)
@@ -223,6 +243,62 @@ def test_closure_matches_fraction_reference(gaussian):
         else:
             hit["word_length"] += 1
     assert all(hit.values()), hit
+
+
+def _random_key(rng, n, gaussian, shape):
+    parts = (0, 1, -1, 2, -3, 5)
+    if shape == "monomial":
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cells = {(i, j) for i, j in enumerate(perm)}
+    elif shape == "zero":
+        cells = set()
+    else:
+        cells = {(i, j) for i in range(n) for j in range(n)}
+        if shape == "zero_rows":
+            dead = set(rng.sample(range(n), rng.randint(1, n)))
+            cells = {(i, j) for i, j in cells if i not in dead}
+        elif shape == "zero_cols":
+            dead = set(rng.sample(range(n), rng.randint(1, n)))
+            cells = {(i, j) for i, j in cells if j not in dead}
+    if shape == "rank_one":
+        u = [(rng.choice(parts), rng.choice(parts) if gaussian else 0)
+             for _ in range(n)]
+        v = [(rng.choice(parts), rng.choice(parts) if gaussian else 0)
+             for _ in range(n)]
+        key = []
+        for a, b in u:
+            for c, d in v:
+                key += [a * c - b * d, a * d + b * c]
+        return tuple(key)
+    key = []
+    for i in range(n):
+        for j in range(n):
+            if (i, j) in cells:
+                re = rng.choice(parts) or 1
+                key += [re, rng.choice(parts) if gaussian else 0]
+            else:
+                key += [0, 0]
+    return tuple(key)
+
+
+_KEY_SHAPES = ("dense", "zero_rows", "zero_cols", "monomial", "rank_one",
+               "zero")
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_sparse_key_product_matches_dense_reference(gaussian):
+    rng = random.Random(9090 + gaussian)
+    seen = set()
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        sa, sb = rng.choice(_KEY_SHAPES), rng.choice(_KEY_SHAPES)
+        a = _random_key(rng, n, gaussian, sa)
+        b = _random_key(rng, n, gaussian, sb)
+        assert _key_product(a, _key_columns(b, n), n) == \
+            reference_key_product(a, b, n)
+        seen.update((sa, sb))
+    assert seen == set(_KEY_SHAPES)
 
 
 def test_projective_canonical_matches_reference():
