@@ -10,6 +10,10 @@ validated arrays down.
 
 from __future__ import annotations
 
+# Masks per numpy batch in both exhaustive scans: large enough to
+# amortise the Python loop, small enough that memory stays flat in n.
+MASK_CHUNK = 2048
+
 
 def power_iteration(a, tol: float, max_iters: int):
     """Shifted power iteration on (a + I); returns (rho, v, residual, it).
@@ -56,9 +60,9 @@ def sign_search(signs) -> int:
     k, n, _ = sg.shape
     total = 1 << (n - 1)
     shifts = (n - 1 - np.arange(n)).astype(np.int64)
-    chunk = 2048
-    for start in range(0, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, MASK_CHUNK):
+        masks = np.arange(start, min(start + MASK_CHUNK, total),
+                          dtype=np.int64)
         s = 1 - 2 * ((masks[:, None] >> shifts[None, :]) & 1)
         prod = s[:, :, None] * s[:, None, :]
         ok = np.ones(masks.shape[0], dtype=bool)

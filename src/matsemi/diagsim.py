@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .exact import Matrix, ONE, Scalar
+from .exact import Matrix, ONE, Scalar, _square_size
 
 _MINUS_ONE = Scalar(-1)
 
@@ -173,14 +173,7 @@ def diag_sim_nonneg(m: Matrix) -> Optional[DiagonalWitness]:
 
 def simultaneous_diag_sim(ms: Sequence[Matrix]) -> Optional[DiagonalWitness]:
     """One witness D making every D m D^{-1} nonnegative, or None."""
-    if not ms:
-        raise ValueError("empty matrix collection")
-    n = ms[0].rows
-    for m in ms:
-        if not m.is_square:
-            raise ValueError("diagonal similarity requires square matrices")
-        if m.rows != n:
-            raise ValueError("all matrices must have the same size")
+    n = _square_size(ms)
     signs = _real_signs(ms)
     if signs is not None:
         # Real input is a question of signs only: the witness is the +-1

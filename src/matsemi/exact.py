@@ -278,6 +278,20 @@ def matrix_vector(m: Matrix, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
     return tuple(out)
 
 
+def _square_size(ms: Sequence[Matrix]) -> int:
+    """The size n of a non-empty collection of n x n matrices.
+
+    Raises ValueError if the collection is empty, or if a member is not
+    square or differs in size from the first.
+    """
+    if not ms:
+        raise ValueError("empty matrix collection")
+    n = ms[0].rows
+    if any(m.rows != n or m.cols != n for m in ms):
+        raise ValueError("matrices must be square of the same size")
+    return n
+
+
 # -- fraction-free elimination over the integers ------------------------
 
 

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import _kernels
-from .cones import (Cone, contains as cone_contains, dual, extreme_rays,
-                    is_invariant, properness)
-from .diagsim import (DiagonalWitness, SignDiagonal, conjugate,
+from .diagsim import (DiagonalWitness, SignDiagonal, _real_signs, conjugate,
                       diag_sim_nonneg, simultaneous_diag_sim)
-from .exact import (Matrix, Scalar, classify_entries, matrix_product, rank)
+from .exact import (Matrix, Scalar, _square_size, classify_entries,
+                    matrix_product, rank)
 from .io import witness_to_json
 from .semigroup import (Caps, generate_closure, group_info, is_irreducible,
                         projective_canonical, rank_one_ideal,
@@ -34,7 +33,7 @@ from .structure import DecompositionKind, classify_decomposability
 # 2^(n-1) sign vectors in fixed-size chunks, so its time doubles per n:
 # at n = 20 a worst-case (infeasible) input took 1.8 s per matrix, 21 MB
 # above the interpreter, and n = 21 took 4.2 s.  The subset search scans
-# its 2^n - 2 masks in chunks of 2048 as well, so its time doubles per n
+# its 2^n - 2 masks in the same chunks, so its time doubles per n
 # but its memory does not grow: at n = 17 a worst-case (irreducible)
 # input took 0.34 s and 1.6 MB above the interpreter with numpy loaded
 # (n = 14: 0.8 MB).  Measured on a 2-vCPU VM, CPython 3.11, numpy 2.4.
@@ -49,26 +48,17 @@ def sign_search_oracle(ms: Sequence[Matrix]) -> Optional[SignDiagonal]:
     nonnegative under conjugation, or None.  Cost 2^(n-1); real input
     only, n at most MAX_SIGN_SEARCH_N.
     """
-    if not ms:
-        raise ValueError("empty matrix collection")
-    n = ms[0].rows
+    n = _square_size(ms)
     if n > MAX_SIGN_SEARCH_N:
         raise ValueError(f"sign search is limited to n <= "
                          f"{MAX_SIGN_SEARCH_N}, got n = {n}")
-    for m in ms:
-        if not m.is_square or m.rows != n:
-            raise ValueError("matrices must be square of the same size")
-        if any(not e.is_real for e in m.entries):
-            raise ValueError("sign search requires real matrices")
+    signs = _real_signs(ms)
+    if signs is None:
+        raise ValueError("sign search requires real matrices")
     import numpy as np
 
-    signs = np.zeros((len(ms), n, n), dtype=np.int8)
-    for k, m in enumerate(ms):
-        for i in range(n):
-            for j in range(n):
-                r = m.entry(i, j).re
-                signs[k, i, j] = 1 if r > 0 else (-1 if r < 0 else 0)
-    mask = _kernels.sign_search(signs)
+    mask = _kernels.sign_search(
+        np.array(signs, dtype=np.int8).reshape(len(ms), n, n))
     if mask < 0:
         return None
     return SignDiagonal(tuple(-1 if (mask >> (n - 1 - i)) & 1 else 1
@@ -87,13 +77,12 @@ def subset_invariance_oracle(m: Matrix) -> SubsetReport:
     A subset S certifies decomposability when no entry (i, j) with
     i outside S and j inside S is nonzero.  Candidates are tried by
     cardinality, then lexicographically, so the returned witness is the
-    smallest one.  They are generated and scanned in chunks of 2048
-    masks, stopping at the first hit, so memory does not grow with n.
+    smallest one.  They are generated and scanned in chunks of
+    ``_kernels.MASK_CHUNK`` masks, stopping at the first hit, so memory
+    does not grow with n.
     Cost 2^n; n at most MAX_SUBSET_SEARCH_N.
     """
-    if not m.is_square:
-        raise ValueError("subset oracle requires a square matrix")
-    n = m.rows
+    n = _square_size([m])
     if n > MAX_SUBSET_SEARCH_N:
         raise ValueError(f"subset search is limited to n <= "
                          f"{MAX_SUBSET_SEARCH_N}, got n = {n}")
@@ -106,7 +95,8 @@ def subset_invariance_oracle(m: Matrix) -> SubsetReport:
                 pattern[i, j] = True
     masks = (sum(1 << i for i in comb) for size in range(1, n)
              for comb in itertools.combinations(range(n), size))
-    for chunk in iter(lambda: list(itertools.islice(masks, 2048)), []):
+    for chunk in iter(lambda: list(itertools.islice(
+            masks, _kernels.MASK_CHUNK)), []):
         hit = _kernels.subset_search(pattern, np.array(chunk, dtype=np.int64))
         if hit >= 0:
             return SubsetReport(True, tuple(i for i in range(n)
@@ -140,8 +130,7 @@ class TheoremReport:
     def to_json(self) -> dict:
         return {
             "theorem": self.theorem,
-            "hypotheses": {k: {"holds": h.holds, "detail": h.detail}
-                           for k, h in self.hypotheses.items()},
+            "hypotheses": {k: asdict(h) for k, h in self.hypotheses.items()},
             "applicable": self.applicable,
             "conclusion_holds": self.conclusion_holds,
             "falsified": self.falsified,
@@ -159,12 +148,7 @@ _IRREDUCIBLE = {
 
 
 def _validate_theorem_input(gens: Sequence[Matrix]) -> int:
-    if not gens:
-        raise ValueError("empty generator collection")
-    n = gens[0].rows
-    for g in gens:
-        if not g.is_square or g.rows != n:
-            raise ValueError("generators must be square of the same size")
+    n = _square_size(gens)
     if n < 2:
         raise ValueError("theorem pipelines need size at least 2")
     return n
@@ -455,16 +439,7 @@ class FixtureSummary:
             "total": len(self.results),
             "failures": len(self.failed),
             "all_passed": self.all_passed,
-            "results": [
-                {
-                    "fixture": r.fixture,
-                    "expectation": r.expectation,
-                    "origin": r.origin,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                }
-                for r in self.results
-            ],
+            "results": [asdict(r) for r in self.results],
         }
 
 
@@ -547,6 +522,8 @@ def _fx_rank_one_pair(rec: _Recorder) -> None:
 
 
 def _fx_invariant_ray(rec: _Recorder) -> None:
+    from .cones import Cone, is_invariant, properness
+
     for n in (2, 3, 4):
         a = [Fraction(1)] * (n - 1) + [Fraction(1 - n)]
         A = _outer(a, a)
@@ -570,6 +547,9 @@ def _fx_invariant_ray(rec: _Recorder) -> None:
 
 
 def _fx_half_plane(rec: _Recorder) -> None:
+    from .cones import (Cone, contains as cone_contains, dual, is_invariant,
+                        properness)
+
     M = Matrix.from_rows([[1, -1], [0, 0]])
     K = Cone.of(2, [[1, 0], [1, 1]])
     rec.check("cone invariant under the matrix",
@@ -591,6 +571,8 @@ def _fx_half_plane(rec: _Recorder) -> None:
 
 
 def _fx_idempotent_extension(rec: _Recorder) -> None:
+    from .cones import Cone, dual, extreme_rays, is_invariant
+
     A3 = Matrix.from_rows([[1, 0, 1], [0, 1, -1], [0, 0, 0]])
     K3 = Cone.of(3, [[1, 0, 0], [0, 1, 0], [0, 1, 1]])
     L3 = Cone.of(3, [[1, 0, 0], [1, 1, 0], [0, 0, 1]])

@@ -7,6 +7,7 @@ Floats are rejected so exactness is never silently lost.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
@@ -14,11 +15,9 @@ from typing import TYPE_CHECKING, Any
 from .exact import Matrix, Scalar
 
 if TYPE_CHECKING:
-    from .cones import Cone, PropernessReport
+    from .cones import Cone
     from .diagsim import DiagonalWitness
     from .semigroup import SemigroupClosure, XYFactorization
-    from .spectral import SpectralResult
-    from .structure import DecompositionReport
 
 
 def _fraction_from_json(x: Any) -> Fraction:
@@ -27,6 +26,12 @@ def _fraction_from_json(x: Any) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        # Fraction would compute 10**exp for "1e999999999": eleven
+        # characters that exhaust time and memory.
+        if "e" in x or "E" in x:
+            raise ValueError(
+                f"exponent notation is not accepted in {x!r}; "
+                "write 'p/q' strings")
         return Fraction(x)
     if isinstance(x, float):
         raise ValueError(
@@ -141,31 +146,11 @@ def witness_to_json(w: DiagonalWitness) -> dict:
     return {"diagonal": [scalar_to_json(x) for x in w.d]}
 
 
-def decomposition_to_json(rep: DecompositionReport) -> dict:
-    return {
-        "kind": rep.kind.value,
-        "scc_count": rep.scc_count,
-        "sccs": [list(c) for c in rep.sccs],
-        "permutation": list(rep.permutation),
-    }
-
-
-def properness_to_json(rep: PropernessReport) -> dict:
-    return {
-        "is_pointed": rep.is_pointed,
-        "is_solid": rep.is_solid,
-        "is_proper": rep.is_proper,
-    }
-
-
-def spectral_to_json(res: SpectralResult) -> dict:
-    return {
-        "rho": res.rho,
-        "right_vector": list(res.right_vector),
-        "left_vector": list(res.left_vector),
-        "residual": res.residual,
-        "iterations": res.iterations,
-    }
+# Decomposition, properness and spectral reports are flat dataclasses
+# whose fields are already JSON values (the decomposition kind is a str
+# enum), so their writer is the generic one.
+decomposition_to_json = properness_to_json = spectral_to_json = \
+    dataclasses.asdict
 
 
 def closure_to_json(c: SemigroupClosure, include_matrices: bool = True) -> dict:
@@ -178,10 +163,7 @@ def closure_to_json(c: SemigroupClosure, include_matrices: bool = True) -> dict:
     return {
         "count": len(c.elements),
         "truncated": c.truncated,
-        "caps": {
-            "max_elements": c.caps.max_elements,
-            "max_word_length": c.caps.max_word_length,
-        },
+        "caps": dataclasses.asdict(c.caps),
         "elements": elements,
     }
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import (Matrix, Scalar, _int_vector, primitive, rank,
-                    rank_one_factor)
+from .exact import (Matrix, Scalar, _int_vector, _square_size, primitive,
+                    rank, rank_one_factor)
 
 Key = tuple[int, ...]
 
@@ -124,6 +124,7 @@ def _extend_word(word: tuple[int, ...], gi: int) -> tuple[int, ...]:
     return word + (gi,)
 
 
+@dataclass(frozen=True, slots=True)
 class ProjectiveElement:
     """A closure member: canonical matrix plus one generator word.
 
@@ -131,25 +132,8 @@ class ProjectiveElement:
     provenance (0-based generator indices, earliest discovered word).
     """
 
-    __slots__ = ("canonical", "word")
-
-    def __init__(self, canonical: Matrix, word: tuple[int, ...]):
-        object.__setattr__(self, "canonical", canonical)
-        object.__setattr__(self, "word", word)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjectiveElement is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjectiveElement):
-            return NotImplemented
-        return self.canonical == other.canonical
-
-    def __hash__(self):
-        return hash(self.canonical)
-
-    def __repr__(self):
-        return f"ProjectiveElement(word={self.word}, {self.canonical!r})"
+    canonical: Matrix
+    word: tuple[int, ...] = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -157,24 +141,12 @@ class SemigroupClosure:
     elements: tuple[ProjectiveElement, ...]
     truncated: bool
     caps: Caps
-    # projective keys of the members; derived from elements when omitted
-    keys: Optional[frozenset[Key]] = field(default=None, repr=False,
-                                           compare=False)
-
-    def __post_init__(self):
-        if self.keys is None:
-            object.__setattr__(self, "keys", frozenset(
-                _projective_key(e.canonical) for e in self.elements))
 
     def canonical_matrices(self) -> tuple[Matrix, ...]:
         return tuple(e.canonical for e in self.elements)
 
     def contains_matrix(self, m: Matrix) -> bool:
-        if not self.elements:
-            return False
-        c = self.elements[0].canonical
-        return ((m.rows, m.cols) == (c.rows, c.cols)
-                and _projective_key(m) in self.keys)
+        return projective_canonical(m) in self.canonical_matrices()
 
 
 @dataclass(frozen=True)
@@ -192,16 +164,6 @@ class XYFactorization:
     y_spans: bool
 
 
-def _validated_generators(gens: Sequence[Matrix]) -> int:
-    if not gens:
-        raise ValueError("semigroup needs at least one generator")
-    n = gens[0].rows
-    for g in gens:
-        if not g.is_square or g.rows != n:
-            raise ValueError("generators must be square of the same size")
-    return n
-
-
 def generate_closure(gens: Sequence[Matrix],
                      caps: Caps = Caps()) -> SemigroupClosure:
     """BFS closure under right multiplication by generators.
@@ -215,7 +177,7 @@ def generate_closure(gens: Sequence[Matrix],
     reproducible.  The first product that would exceed a cap marks the
     closure truncated and ends the search.
     """
-    n = _validated_generators(gens)
+    n = _square_size(gens)
     gkeys = [_projective_key(g) for g in gens]
     gcols = [_key_columns(c, n) for c in gkeys]
     words: dict[Key, tuple[int, ...]] = {}
@@ -251,7 +213,6 @@ def generate_closure(gens: Sequence[Matrix],
                                          words[c]) for c in order),
         truncated=truncated,
         caps=caps,
-        keys=frozenset(order),
     )
 
 
@@ -277,7 +238,7 @@ def algebra_dimension(gens: Sequence[Matrix]) -> int:
     any field extending the rationals because ranks of rational matrices
     do not change under field extension.
     """
-    n = _validated_generators(gens)
+    n = _square_size(gens)
     dim_target = n * n
     gcols = [_key_columns(_projective_key(g), n) for g in gens]
     basis: list[tuple[int, Key]] = []  # (pivot part index, echelon row)
@@ -326,8 +287,7 @@ def is_irreducible(gens: Sequence[Matrix]) -> bool:
     Equivalent to the generated algebra being the full matrix algebra,
     so the test is one exact dimension computation.
     """
-    n = _validated_generators(gens)
-    return algebra_dimension(gens) == n * n
+    return algebra_dimension(gens) == gens[0].rows ** 2
 
 
 def group_info(gens: Sequence[Matrix], caps: Caps = Caps(),
@@ -344,7 +304,7 @@ def group_info(gens: Sequence[Matrix], caps: Caps = Caps(),
     closure (or any singular generator) the property is not established
     and is reported False.
     """
-    n = _validated_generators(gens)
+    n = _square_size(gens)
     all_invertible = all(rank(g) == n for g in gens)
     if not all_invertible:
         return GroupInfo(False, False)
@@ -374,8 +334,8 @@ def xy_decomposition(ideal: Sequence[ProjectiveElement]) -> XYFactorization:
             pairing.append((-1, -1))
             continue
         x, y = rank_one_factor(m)
-        x = _canonical_vector(x)
-        y = _canonical_vector(y)
+        x = projective_canonical(Matrix(1, len(x), x)).entries
+        y = projective_canonical(Matrix(1, len(y), y)).entries
         if x not in xi_of:
             xi_of[x] = len(xs)
             xs.append(x)
@@ -392,16 +352,6 @@ def xy_decomposition(ideal: Sequence[ProjectiveElement]) -> XYFactorization:
         x_spans=x_spans,
         y_spans=y_spans,
     )
-
-
-def _canonical_vector(v: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
-    scale = Fraction(0)
-    for e in v:
-        scale = max(scale, e.max_abs_part())
-    if scale == 0:
-        return v
-    s = Scalar(1 / scale)
-    return tuple(s * e for e in v)
 
 
 def _vectors_span(vs: list[tuple[Scalar, ...]], n: int) -> bool:

@@ -12,7 +12,7 @@ from enum import Enum
 import heapq
 from typing import Iterable, Sequence
 
-from .exact import Matrix
+from .exact import Matrix, _square_size
 
 
 class DecompositionKind(str, Enum):
@@ -44,28 +44,14 @@ class DecompositionReport:
 
 
 def pattern_digraph(m: Matrix) -> PatternDigraph:
-    if not m.is_square:
-        raise ValueError("pattern digraph requires a square matrix")
-    edges = {(i, j) for i in range(m.rows) for j in range(m.cols)
-             if m.entry(i, j)}
-    return PatternDigraph(m.rows, frozenset(edges))
+    return union_pattern([m])
 
 
 def union_pattern(ms: Sequence[Matrix]) -> PatternDigraph:
     """Pattern of the set: edge present iff nonzero in some member."""
-    if not ms:
-        raise ValueError("union pattern of an empty collection")
-    n = ms[0].rows
-    for m in ms:
-        if not m.is_square or m.rows != n:
-            raise ValueError("all matrices must be square of the same size")
-    edges: set[tuple[int, int]] = set()
-    for m in ms:
-        for i in range(n):
-            for j in range(n):
-                if m.entry(i, j):
-                    edges.add((i, j))
-    return PatternDigraph(n, frozenset(edges))
+    n = _square_size(ms)
+    return PatternDigraph(n, frozenset(
+        divmod(k, n) for m in ms for k, e in enumerate(m.entries) if e))
 
 
 def _strongly_connected_components(n: int,

@@ -27,7 +27,7 @@ from matsemi import (Caps, Cone, DiagonalWitness, GroupInfo, Matrix,
 from matsemi.cones import Vec
 from matsemi.exact import (ONE, _as_fraction, _int_vector, int_rank, inverse,
                            matrix_product, primitive)
-from matsemi.semigroup import Key, _projective_key
+from matsemi.semigroup import Key
 
 
 def reference_canonical(m: Matrix) -> Matrix:
@@ -38,6 +38,16 @@ def reference_canonical(m: Matrix) -> Matrix:
     if scale == 0:
         return m
     return m.scale(Scalar(1 / scale))
+
+
+def _canonical_vector(v: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
+    scale = Fraction(0)
+    for e in v:
+        scale = max(scale, e.max_abs_part())
+    if scale == 0:
+        return v
+    s = Scalar(1 / scale)
+    return tuple(s * e for e in v)
 
 
 def reference_closure(gens, caps: Caps = Caps()) -> SemigroupClosure:
@@ -116,7 +126,7 @@ def reference_group_info(gens, caps: Caps = Caps(), closure=None) -> GroupInfo:
         return GroupInfo(True, False)
     for e in closure.elements:
         # members are products of invertible generators, so inversion succeeds
-        if _projective_key(inverse(e.canonical)) not in closure.keys:
+        if not closure.contains_matrix(inverse(e.canonical)):
             return GroupInfo(True, False)
     return GroupInfo(True, True)
 

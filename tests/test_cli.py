@@ -175,6 +175,21 @@ def test_bad_input_paths_exit_2(paths, capsys, tmp_path):
     assert code == 2
 
 
+def test_exponent_notation_exits_2(paths, capsys):
+    m = paths("m.json", {"rows": 1, "cols": 1, "entries": [["1e5"]]})
+    g = paths("g.json", {"matrices": [
+        {"rows": 2, "cols": 2, "entries": [["1", {"re": "2E-3"}],
+                                           ["0", "1"]]}]})
+    k = paths("k.json", {"dim": 2, "rays": [["1e2", "0"]]})
+    for argv in (["analyze", m], ["verify", "semigroup", g],
+                 ["cone", "dual", k]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert "exponent notation" in captured.err
+
+
 BAD_MATRICES = [
     {"rows": 1, "cols": 1, "entries": 5},
     {"rows": "1", "cols": 1, "entries": [["1"]]},
@@ -275,17 +290,23 @@ loaded = sorted(m for m in ("matsemi.harness", "matsemi.semigroup",
                             "matsemi.cones", "matsemi.spectral")
                 if m in sys.modules)
 assert not loaded, loaded
+assert cli.main(["verify", "semigroup", sys.argv[2]]) == 0
+loaded = sorted(m for m in ("matsemi.cones", "matsemi.spectral")
+                if m in sys.modules)
+assert not loaded, loaded
 print("analyze-only-ok")
 """
 
 
 def test_analyze_imports_only_what_it_runs(paths):
     m = paths("m.json", matrix_to_json(M([[1, -1], [0, 2]])))
+    g = paths("g.json", {"matrices": [matrix_to_json(
+        M([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))]})
     src = os.path.dirname(os.path.dirname(os.path.abspath(matsemi.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", ANALYZE_ONLY, m],
+    proc = subprocess.run([sys.executable, "-c", ANALYZE_ONLY, m, g],
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -4,8 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from matsemi import (Matrix, Scalar, classify_entries, inverse,
-                     matrix_product, matrix_vector, rank, rank_one_factor)
+from matsemi import (Matrix, Scalar, algebra_dimension, classify_entries,
+                     classify_decomposability, generate_closure, group_info,
+                     inverse, is_irreducible, matrix_product, matrix_vector,
+                     pattern_digraph, rank, rank_one_factor,
+                     sign_search_oracle, simultaneous_diag_sim,
+                     subset_invariance_oracle, union_pattern,
+                     verify_group_theorem, verify_semigroup_theorem)
 from matsemi.exact import (int_gauss_jordan, int_independent_subset,
                            int_inverse_columns, int_nullspace, int_rank,
                            primitive)
@@ -306,3 +311,35 @@ def test_int_inverse_columns_are_positive_multiples():
         int_inverse_columns([[1, 2], [2, 4]])
     with pytest.raises(ValueError):
         int_inverse_columns([[0, 0], [0, 0]])
+
+
+_COLLECTION_ENTRY_POINTS = (
+    generate_closure, algebra_dimension, is_irreducible, group_info,
+    simultaneous_diag_sim, union_pattern, sign_search_oracle,
+    verify_group_theorem, verify_semigroup_theorem)
+
+_BAD_COLLECTIONS = {
+    "empty": [],
+    "non-square": [Matrix.zeros(2, 3)],
+    "non-square-later": [Matrix.identity(2), Matrix.zeros(2, 3)],
+    "mixed-size": [Matrix.identity(2), Matrix.identity(3)],
+    "mixed-size-later": [Matrix.identity(3), Matrix.identity(3),
+                         Matrix.identity(2)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_COLLECTIONS))
+@pytest.mark.parametrize("fn", _COLLECTION_ENTRY_POINTS,
+                         ids=lambda fn: fn.__name__)
+def test_collection_entry_points_reject_bad_collections(fn, case):
+    with pytest.raises(ValueError):
+        fn(_BAD_COLLECTIONS[case])
+
+
+@pytest.mark.parametrize("fn", (pattern_digraph, classify_decomposability,
+                                subset_invariance_oracle),
+                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 2)])
+def test_single_matrix_entry_points_reject_non_square(fn, shape):
+    with pytest.raises(ValueError):
+        fn(Matrix.zeros(*shape))

@@ -36,6 +36,19 @@ def test_scalar_from_json_inputs():
         scalar_from_json(None)
 
 
+@pytest.mark.parametrize("entry", ["1e5", "2E-3", {"re": "1e2"},
+                                   {"re": "1", "im": "-3E1"}])
+def test_scalar_from_json_rejects_exponent_notation(entry):
+    # only small exponents here: a large one is the bug being guarded
+    with pytest.raises(ValueError, match="exponent"):
+        scalar_from_json(entry)
+
+
+def test_cone_from_json_rejects_exponent_notation():
+    with pytest.raises(ValueError, match="exponent"):
+        cone_from_json({"dim": 2, "rays": [["1", "0"], ["1e5", "1"]]})
+
+
 def test_matrix_round_trip():
     rng = random.Random(17)
     for _ in range(25):

@@ -5,13 +5,13 @@ import pytest
 
 from matsemi import (Caps, Matrix, ProjectiveElement, Scalar,
                      algebra_dimension, generate_closure, group_info,
-                     is_irreducible, projective_canonical, rank_one_ideal,
-                     xy_decomposition)
+                     is_irreducible, projective_canonical, rank_one_factor,
+                     rank_one_ideal, xy_decomposition)
 from _fx import M, outer, ones
 from matsemi.semigroup import _key_columns, _key_product
-from _reference import (reference_algebra_dimension, reference_canonical,
-                        reference_closure, reference_group_info,
-                        reference_key_product)
+from _reference import (_canonical_vector, reference_algebra_dimension,
+                        reference_canonical, reference_closure,
+                        reference_group_info, reference_key_product)
 
 C3 = M([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
@@ -313,6 +313,15 @@ def test_contains_matrix_checks_shape():
     assert not cl.contains_matrix(M([[1, 0, 0, 1]]))
 
 
+def test_contains_matrix_gaussian_closure():
+    # i*I generates the four classes i*I, -I, -i*I and I
+    cl = generate_closure([Matrix.diagonal([Scalar(0, 1)] * 2)])
+    assert not cl.truncated and len(cl.elements) == 4
+    assert cl.contains_matrix(Matrix.identity(2).scale(-3))
+    assert cl.contains_matrix(Matrix.identity(2))
+    assert not cl.contains_matrix(Matrix.diagonal([1, -1]))
+
+
 def test_algebra_dimension_is_complex_linear():
     # i*I and I span one complex dimension; splitting real and imaginary
     # parts into independent coordinates would give 2
@@ -383,3 +392,49 @@ def test_xy_decomposition_no_span():
     cl = generate_closure([outer([1, 0, 0], [0, 1, 0])])
     fac = xy_decomposition(rank_one_ideal(cl))
     assert not fac.x_spans and not fac.y_spans
+
+
+def _random_direction(rng, n):
+    while True:
+        v = tuple(_random_scalar(rng, True) for _ in range(n))
+        if any(v):
+            return v
+
+
+def test_xy_decomposition_matches_fraction_reference():
+    # Gaussian rank-one ideals whose members repeat directions up to
+    # positive, negative and complex scalars, plus the odd zero member;
+    # the directions must be the Fraction-scaled ones, deduplicated in
+    # order
+    rng = random.Random(6262)
+    shared = 0
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        us = [_random_direction(rng, n) for _ in range(rng.randint(1, 3))]
+        vs = [_random_direction(rng, n) for _ in range(rng.randint(1, 3))]
+        ideal = []
+        for _ in range(rng.randint(1, 6)):
+            if rng.random() < 0.1:
+                m = Matrix.zeros(n, n)
+            else:
+                c = rng.choice((Scalar(2), Scalar(Fraction(1, 3)),
+                                Scalar(-1), Scalar(0, 1), Scalar(1, 1)))
+                u, v = rng.choice(us), rng.choice(vs)
+                m = Matrix(n, n, [c * a * b for a in u for b in v])
+            ideal.append(ProjectiveElement(projective_canonical(m), (0,)))
+        xs, ys, pairing = [], [], []
+        for e in ideal:
+            if e.canonical.is_zero():
+                pairing.append((-1, -1))
+                continue
+            x, y = map(_canonical_vector, rank_one_factor(e.canonical))
+            for vec, seen in ((x, xs), (y, ys)):
+                if vec not in seen:
+                    seen.append(vec)
+            pairing.append((xs.index(x), ys.index(y)))
+        fac = xy_decomposition(ideal)
+        assert fac.x_vectors == tuple(xs)
+        assert fac.y_vectors == tuple(ys)
+        assert fac.pairing == tuple(pairing)
+        shared += len(pairing) > len(set(pairing))
+    assert shared  # some ideals repeat a pair of directions
