@@ -1,95 +1,103 @@
 """Hot numeric kernels: power iteration and the two exhaustive oracles.
 
-One numpy implementation of each: a shifted power iteration and
-vectorised scans for the sign and subset searches.  numpy is imported
-inside each kernel, so it loads on the first float computation and
-never for the exact-only paths.  Everything here is float64/int64
-plumbing; exactness lives in the rational modules, which only hand
-validated arrays down.
+The oracles are bit-parallel on Python integers: one int per vertex
+holds that vertex's bit in every candidate mask at once, so each matrix
+entry rules out all the masks it contradicts in one integer operation.
+The power iteration runs on Python floats over sparse rows.  Exactness
+lives in the rational modules, which only hand validated data down.
 """
 
 from __future__ import annotations
 
-# Masks per numpy batch in both exhaustive scans: large enough to
-# amortise the Python loop, small enough that memory stays flat in n.
-MASK_CHUNK = 2048
+
+def _bit_columns(width: int) -> list[int]:
+    """cols[p] has bit m set iff bit p of m is set, for all m < 2^width.
+
+    Each step doubles the masks: the old columns repeat, and the new top
+    bit is clear on the old half and set on the new one.
+    """
+    cols: list[int] = []
+    for t in range(width):
+        span = 1 << t
+        cols = [c | c << span for c in cols] + [((1 << span) - 1) << span]
+    return cols
+
+
+def sign_search(signs, n: int) -> int:
+    """First mask in [0, 2^(n-1)) giving a feasible sign diagonal.
+
+    signs holds one row-major list of n*n entry signs in {-1, 0, 1} per
+    matrix.  Bit (n-1-i) of the mask holds the sign of vertex i (set =
+    -1), so ascending masks enumerate sign vectors in lexicographic order
+    with the leading sign pinned to +1.  Returns -1 if none is feasible.
+    """
+    bits = [0] + _bit_columns(n - 1)[::-1]
+    ok = (1 << (1 << (n - 1))) - 1
+    for sg in signs:
+        for k, s in enumerate(sg):
+            if s:
+                i, j = divmod(k, n)
+                # masks where s_i * s_j = -1; a negative diagonal entry
+                # (i == j) therefore rules out every mask
+                flip = bits[i] ^ bits[j]
+                ok &= flip if s < 0 else ~flip
+        if not ok:
+            return -1
+    return (ok & -ok).bit_length() - 1
+
+
+def subset_search(edges, n: int) -> int:
+    """Smallest, then lexicographically first, nontrivial subset S of
+    range(n) that no edge (i, j) enters from outside (j in S implies
+    i in S).  Element i sits at bit n-1-i of the returned mask, so within
+    one size the first subset is the highest mask.  Returns -1 if none
+    qualifies.
+    """
+    bits = _bit_columns(n)[::-1]
+    ok = (1 << (1 << n)) - 1
+    for i, j in edges:
+        if i != j:
+            ok &= ~(bits[j] & ~bits[i])
+    # by_size[k] has bit m set iff mask m has k elements
+    by_size = [1]
+    for t in range(n):
+        by_size = [a | (b << (1 << t))
+                   for a, b in zip(by_size + [0], [0] + by_size)]
+    for size in range(1, n):
+        hits = ok & by_size[size]
+        if hits:
+            return hits.bit_length() - 1
+    return -1
+
+
+def _mat_vec(rows, v) -> list[float]:
+    return [sum([x * v[j] for j, x in row]) for row in rows]
 
 
 def power_iteration(a, tol: float, max_iters: int):
     """Shifted power iteration on (a + I); returns (rho, v, residual, it).
 
-    The +I shift makes the iteration converge for indecomposable
-    matrices whose period would otherwise make the plain iteration
-    oscillate.  v keeps infinity norm 1, so the residual is the
-    infinity-norm eigenpair defect for the returned rho.
+    a is any sequence of rows.  The +I shift makes the iteration converge
+    for indecomposable matrices whose period would otherwise make the
+    plain iteration oscillate.  v keeps infinity norm 1, so the residual
+    is the infinity-norm eigenpair defect for the returned rho.
     """
-    import numpy as np
-
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    tol = float(tol)
-    max_iters = int(max_iters)
-    n = a.shape[0]
-    v = np.ones(n, dtype=np.float64)
+    rows = [[(j, float(x)) for j, x in enumerate(row) if x] for row in a]
+    n = len(rows)
+    v = [1.0] * n
     if n == 1:
-        rho = a[0, 0]
-        return rho, v, 0.0, 1
+        return float(a[0][0]), v, 0.0, 1
     rho = 0.0
     res = 0.0
+    av = _mat_vec(rows, v)
     for it in range(1, max_iters + 1):
-        w = np.dot(a, v) + v
-        nw = np.abs(w).max()
-        v = w / nw
+        # the residual's A v of the previous step is this step's A v
+        w = [x + y for x, y in zip(av, v)]
+        nw = max(map(abs, w))
+        v = [x / nw for x in w]
         rho = nw - 1.0
-        res = np.abs(np.dot(a, v) - rho * v).max()
+        av = _mat_vec(rows, v)
+        res = max([abs(x - rho * y) for x, y in zip(av, v)])
         if res <= tol:
             return rho, v, res, it
     return rho, v, res, max_iters
-
-
-def sign_search(signs) -> int:
-    """First mask in [0, 2^(n-1)) giving a feasible sign diagonal.
-
-    signs has shape (k, n, n) with entries in {-1, 0, 1}.  Bit (n-1-i)
-    of the mask holds the sign of vertex i (set = -1), so ascending
-    masks enumerate sign vectors in lexicographic order with the leading
-    sign pinned to +1.  Returns -1 if none is feasible.
-    """
-    import numpy as np
-
-    sg = np.ascontiguousarray(signs, dtype=np.int8).astype(np.int64)
-    k, n, _ = sg.shape
-    total = 1 << (n - 1)
-    shifts = (n - 1 - np.arange(n)).astype(np.int64)
-    for start in range(0, total, MASK_CHUNK):
-        masks = np.arange(start, min(start + MASK_CHUNK, total),
-                          dtype=np.int64)
-        s = 1 - 2 * ((masks[:, None] >> shifts[None, :]) & 1)
-        prod = s[:, :, None] * s[:, None, :]
-        ok = np.ones(masks.shape[0], dtype=bool)
-        for m in range(k):
-            viol = (prod * sg[m][None, :, :]) < 0
-            ok &= ~viol.reshape(viol.shape[0], -1).any(axis=1)
-        hits = np.nonzero(ok)[0]
-        if hits.size:
-            return int(masks[hits[0]])
-    return -1
-
-
-def subset_search(pattern, order) -> int:
-    """First mask in `order` whose vertex set S has no edge into S
-    from outside (pattern[i, j] implies i in S whenever j in S).
-    Returns -1 if none qualifies.
-    """
-    import numpy as np
-
-    pm = np.ascontiguousarray(pattern, dtype=np.bool_).astype(np.int64)
-    order = np.ascontiguousarray(order, dtype=np.int64)
-    n = pm.shape[0]
-    if order.shape[0] == 0:
-        return -1
-    members = (order[:, None] >> np.arange(n, dtype=np.int64)[None, :]) & 1
-    # edges entering the subset from outside, counted per mask
-    into = members @ pm.T
-    bad = ((1 - members) * into).sum(axis=1)
-    hits = np.nonzero(bad == 0)[0]
-    return int(order[hits[0]]) if hits.size else -1

@@ -2,8 +2,8 @@
 
 Every structural decision made by this package (zero tests, sign tests,
 rank computations) reduces to exact comparisons of ``fractions.Fraction``
-values.  Nothing in this module rounds, and nothing imports numpy; the
-floating-point world is confined to :mod:`matsemi.spectral`.
+values.  Nothing in this module rounds; the floating-point world is
+confined to :mod:`matsemi.spectral`.
 
 All elimination runs on one fraction-free integer Gauss-Jordan core at
 the end of this module, which keeps every row a primitive integer
@@ -33,6 +33,12 @@ def _as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        # Fraction would compute 10**exp for "1e999999999": eleven
+        # characters that exhaust time and memory.
+        if "e" in x or "E" in x:
+            raise ValueError(
+                f"exponent notation is not accepted in {x!r}; "
+                "write 'p/q' strings")
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 

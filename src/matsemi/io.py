@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
-from .exact import Matrix, Scalar
+from .exact import Matrix, Scalar, _as_fraction
 
 if TYPE_CHECKING:
     from .cones import Cone
@@ -23,16 +23,8 @@ if TYPE_CHECKING:
 def _fraction_from_json(x: Any) -> Fraction:
     if isinstance(x, bool):
         raise ValueError("booleans are not rational entries")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        # Fraction would compute 10**exp for "1e999999999": eleven
-        # characters that exhaust time and memory.
-        if "e" in x or "E" in x:
-            raise ValueError(
-                f"exponent notation is not accepted in {x!r}; "
-                "write 'p/q' strings")
-        return Fraction(x)
+    if isinstance(x, (int, str)):
+        return _as_fraction(x)
     if isinstance(x, float):
         raise ValueError(
             "floating point entries are not accepted; write 'p/q' strings")

@@ -2,23 +2,18 @@
 
 This is the only module that computes in floating point.  Inputs are
 still validated exactly (square, real, entrywise nonnegative) before
-being converted to float64 and handed to the numpy kernels.  numpy is
-imported only when `perron` runs; `is_primitive` is exact and never
-loads it.
+being converted to floats and handed to the power iteration kernel;
+`is_primitive` is exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from . import _kernels
-from .exact import Matrix, classify_entries
+from .exact import Matrix, _square_size, classify_entries
 from .structure import pattern_digraph, scc_condensation
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class NonConvergenceError(RuntimeError):
@@ -43,25 +38,12 @@ class SpectralResult:
 
 
 def _check_nonnegative_square(m: Matrix) -> None:
-    if not m.is_square:
-        raise ValueError("spectral analysis requires a square matrix")
+    _square_size([m])
     cls = classify_entries(m)
     if not cls.is_real:
         raise ValueError("spectral analysis requires a real matrix")
     if not cls.is_nonnegative:
         raise ValueError("spectral analysis requires a nonnegative matrix")
-
-
-def _validated_float_array(m: Matrix) -> np.ndarray:
-    import numpy as np
-
-    _check_nonnegative_square(m)
-    n = m.rows
-    a = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(n):
-            a[i, j] = float(m.entry(i, j).re)
-    return a
 
 
 def perron(m: Matrix, tol: float = 1e-9,
@@ -75,26 +57,28 @@ def perron(m: Matrix, tol: float = 1e-9,
     Raises NonConvergenceError if the contract cannot be met within
     max_iters per run.
     """
-    import numpy as np
-
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    a = _validated_float_array(m)
-    at = np.ascontiguousarray(a.T)
+    _check_nonnegative_square(m)
+    n = m.rows
+    flat = [float(e.re) for e in m.entries]
+    a = [flat[i:i + n] for i in range(0, n * n, n)]
+    at = [flat[j::n] for j in range(n)]
     total = 0
     inner = tol
     residual = float("inf")
     for _ in range(5):
         rho, v, res_r, it_r = _kernels.power_iteration(a, inner, max_iters)
         _, u, _, it_l = _kernels.power_iteration(at, inner, max_iters)
-        total += int(it_r) + int(it_l)
-        res_l = float(np.abs(at @ u - rho * u).max())
-        residual = max(float(res_r), res_l)
+        total += it_r + it_l
+        res_l = max(abs(sum([x * y for x, y in zip(row, u)]) - rho * ui)
+                    for row, ui in zip(at, u))
+        residual = max(res_r, res_l)
         if residual <= tol:
             return SpectralResult(
-                rho=float(rho),
-                right_vector=tuple(float(x) for x in v),
-                left_vector=tuple(float(x) for x in u),
+                rho=rho,
+                right_vector=tuple(v),
+                left_vector=tuple(u),
                 residual=residual,
                 iterations=total,
             )

@@ -113,6 +113,10 @@ def test_perron(paths, capsys):
     code, _ = run(capsys, ["perron", neg])
     assert code == 2
 
+    wide = paths("wide.json", matrix_to_json(M([[1, 2]])))
+    assert main(["perron", wide]) == 2
+    assert "matrices must be square" in capsys.readouterr().err
+
 
 def test_verify_exit_codes(paths, capsys):
     g = paths("g.json", {"matrices": [matrix_to_json(
@@ -249,37 +253,47 @@ def test_unexpected_exception_exits_3(paths, capsys, monkeypatch):
     assert "internal error" in captured.err and "kaboom" in captured.err
 
 
-COLD_START = """
-import json, sys
-import matsemi, matsemi.cli as cli
-from matsemi import Matrix, is_primitive
-m, k, g = sys.argv[1:4]
-codes = [cli.main(["analyze", m]), cli.main(["cone", "dual", k]),
-         cli.main(["verify", "group", g])]
-assert is_primitive(Matrix.from_rows([[0, 1], [1, 1]]))
-assert codes == [0, 0, 0], codes
-assert "numpy" not in sys.modules, "an exact command imported numpy"
-res = matsemi.perron(Matrix.from_rows([[2, 1], [1, 2]]))
-assert abs(res.rho - 3.0) <= 1e-9
-assert "numpy" in sys.modules
-print("cold-start-ok")
+NO_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # every "import numpy" now raises ImportError
+import matsemi.cli as cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
 """
 
 
-def test_exact_commands_do_not_import_numpy(paths):
+def test_every_subcommand_runs_without_numpy(paths, capsys):
     m = paths("m.json", matrix_to_json(M([[1, 0, 1], [0, 1, -1], [0, 0, 0]])))
+    p = paths("p.json", matrix_to_json(M([[2, 1], [1, 2]])))
     k = paths("k.json", {"dim": 2, "rays": [["1", "0"], ["1", "1"]]})
     g = paths("g.json", {"matrices": [matrix_to_json(
         M([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))]})
+    argvs = [["analyze", m], ["cone", "dual", k], ["cone", "extreme", k],
+             ["cone", "proper", k], ["cone", "invariant", k, "--matrix", p],
+             ["closure", g], ["irreducible", g], ["perron", p],
+             ["verify", "group", g], ["verify", "semigroup", g],
+             ["fixtures"], ["oracle", "signs", g], ["oracle", "subsets", m]]
     src = os.path.dirname(os.path.dirname(os.path.abspath(matsemi.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", COLD_START, m, k, g],
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY, json.dumps(argvs)],
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.rstrip().endswith("cold-start-ok")
+    blocked = json.loads(proc.stdout)
+    in_process = []
+    for argv in argvs:
+        code = main(argv)
+        in_process.append([code, capsys.readouterr().out])
+    assert blocked == in_process
+    assert all(code == 0 for code, _ in blocked)
+    assert json.loads(blocked[7][1])["rho"] == pytest.approx(3.0, abs=1e-9)
 
 
 ANALYZE_ONLY = """

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from matsemi import (Matrix, Scalar, algebra_dimension, classify_entries,
-                     classify_decomposability, generate_closure, group_info,
-                     inverse, is_irreducible, matrix_product, matrix_vector,
-                     pattern_digraph, rank, rank_one_factor,
-                     sign_search_oracle, simultaneous_diag_sim,
+from matsemi import (Cone, Matrix, Scalar, algebra_dimension, canonical_ray,
+                     classify_entries, classify_decomposability,
+                     generate_closure, group_info, inverse, is_irreducible,
+                     matrix_product, matrix_vector, pattern_digraph, perron,
+                     rank, rank_one_factor, sign_search_oracle,
+                     simultaneous_diag_sim, spectral,
                      subset_invariance_oracle, union_pattern,
                      verify_group_theorem, verify_semigroup_theorem)
 from matsemi.exact import (int_gauss_jordan, int_independent_subset,
@@ -50,6 +51,18 @@ def test_scalar_rejects_floats():
         Scalar(0.5)
     with pytest.raises(TypeError):
         Scalar.of(True)
+
+
+@pytest.mark.parametrize("text", ["1e5", "2E-3"])
+@pytest.mark.parametrize("build", [
+    Scalar, lambda x: Scalar(0, x), Scalar.of,
+    lambda x: Cone.of(2, [["1", "0"], [x, "1"]]),
+    lambda x: canonical_ray(["1", x])],
+    ids=["Scalar", "Scalar-im", "Scalar.of", "Cone.of", "canonical_ray"])
+def test_exponent_notation_is_refused(build, text):
+    # only small exponents here: a large one is the bug being guarded
+    with pytest.raises(ValueError, match="exponent notation"):
+        build(text)
 
 
 def test_matrix_construction_and_access():
@@ -337,7 +350,8 @@ def test_collection_entry_points_reject_bad_collections(fn, case):
 
 
 @pytest.mark.parametrize("fn", (pattern_digraph, classify_decomposability,
-                                subset_invariance_oracle),
+                                subset_invariance_oracle, perron,
+                                spectral.is_primitive),
                          ids=lambda fn: fn.__name__)
 @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 2)])
 def test_single_matrix_entry_points_reject_non_square(fn, shape):
