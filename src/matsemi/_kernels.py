@@ -70,8 +70,18 @@ def subset_search(edges, n: int) -> int:
     return -1
 
 
+def _sparse_rows(a) -> list[list[tuple[int, float]]]:
+    return [[(j, float(x)) for j, x in enumerate(row) if x] for row in a]
+
+
 def _mat_vec(rows, v) -> list[float]:
     return [sum([x * v[j] for j, x in row]) for row in rows]
+
+
+def residual(a, v, rho: float) -> float:
+    """||a v - rho v|| in the infinity norm, a given as to power_iteration."""
+    av = _mat_vec(_sparse_rows(a), v)
+    return max([abs(x - rho * y) for x, y in zip(av, v)])
 
 
 def power_iteration(a, tol: float, max_iters: int):
@@ -82,7 +92,7 @@ def power_iteration(a, tol: float, max_iters: int):
     plain iteration oscillate.  v keeps infinity norm 1, so the residual
     is the infinity-norm eigenpair defect for the returned rho.
     """
-    rows = [[(j, float(x)) for j, x in enumerate(row) if x] for row in a]
+    rows = _sparse_rows(a)
     n = len(rows)
     v = [1.0] * n
     if n == 1:

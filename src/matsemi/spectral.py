@@ -71,9 +71,7 @@ def perron(m: Matrix, tol: float = 1e-9,
         rho, v, res_r, it_r = _kernels.power_iteration(a, inner, max_iters)
         _, u, _, it_l = _kernels.power_iteration(at, inner, max_iters)
         total += it_r + it_l
-        res_l = max(abs(sum([x * y for x, y in zip(row, u)]) - rho * ui)
-                    for row, ui in zip(at, u))
-        residual = max(res_r, res_l)
+        residual = max(res_r, _kernels.residual(at, u, rho))
         if residual <= tol:
             return SpectralResult(
                 rho=rho,

@@ -4,7 +4,8 @@ import random
 import numpy as np
 
 from matsemi import Matrix, SignDiagonal
-from matsemi._kernels import power_iteration, sign_search, subset_search
+from matsemi._kernels import (power_iteration, residual, sign_search,
+                              subset_search)
 from matsemi.harness import sign_search_oracle, subset_invariance_oracle
 from _reference import (reference_power_iteration, reference_sign_search,
                         reference_subset_search)
@@ -64,9 +65,12 @@ def test_power_iteration_matches_eigvals():
         # dominant eigenvalue is defective (power iteration then crawls)
         a[np.arange(n), np.arange(n)] = rng.random(n) + 0.5
         rho, v, res, _ = power_iteration(a, 1e-12, 200000)
+        assert residual(a, v, rho) == residual(a.tolist(), v, rho) == res
+        left = residual(a.T, v, rho)
         v = np.array(v)
         assert res <= 1e-12
         assert np.abs(a @ v - rho * v).max() <= 1e-12
+        assert abs(left - np.abs(a.T @ v - rho * v).max()) <= 1e-12
         assert v.min() >= 0 and np.abs(v).max() == 1.0
         want = max(abs(x) for x in np.linalg.eigvals(a))
         assert abs(rho - want) < 1e-9
