@@ -8,10 +8,11 @@ confined to :mod:`matsemi.spectral`.
 All elimination runs on one fraction-free integer Gauss-Jordan core at
 the end of this module, which keeps every row a primitive integer
 vector.  Where only rays matter (vectors up to positive scaling),
-callers clear denominators and use it directly.  ``rank`` and
-``inverse`` of a Gaussian matrix A + iB use it on the integer real form
-[[A, -B], [B, A]], which has twice the rank and inverts to the real
-form of the inverse.
+callers clear denominators and use it directly.  ``rank`` of a matrix
+with no imaginary part eliminates its denominator-cleared rows as they
+are.  ``rank`` of any other matrix A + iB, and ``inverse`` of every
+matrix, use the core on the integer real form [[A, -B], [B, A]], which
+has twice the rank and inverts to the real form of the inverse.
 """
 
 from __future__ import annotations
@@ -459,7 +460,18 @@ def _real_form(m: Matrix) -> tuple[list[list[int]], list[int]]:
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank over the Gaussian rationals: half that of the real form."""
+    """Exact rank over the Gaussian rationals.
+
+    A matrix whose imaginary parts are all zero is eliminated as it is,
+    cleared of its denominators: its rank over the rationals is its
+    rank over the Gaussian rationals, because rank does not change under
+    field extension.  Any other matrix takes half the rank of its real
+    form.
+    """
+    if all(not e.im for e in m.entries):
+        flat = _int_vector([e.re for e in m.entries])
+        return int_rank([flat[i:i + m.cols]
+                         for i in range(0, len(flat), m.cols)])
     return int_rank(_real_form(m)[0]) // 2
 
 

@@ -12,9 +12,10 @@ from matsemi import (Cone, Matrix, Scalar, algebra_dimension, canonical_ray,
                      simultaneous_diag_sim, spectral,
                      subset_invariance_oracle, union_pattern,
                      verify_group_theorem, verify_semigroup_theorem)
-from matsemi.exact import (int_gauss_jordan, int_independent_subset,
-                           int_inverse_columns, int_nullspace, int_rank,
-                           primitive)
+from matsemi import exact
+from matsemi.exact import (_real_form, int_gauss_jordan,
+                           int_independent_subset, int_inverse_columns,
+                           int_nullspace, int_rank, primitive)
 from _fx import M, outer, random_int_matrix
 from _reference import _independent_subset, _nullspace, _rref
 
@@ -155,6 +156,40 @@ def test_rank_random_agrees_with_float_svd():
         assert rank(m) == np.linalg.matrix_rank(fa)
         shapes.add((r > c) - (r < c))
     assert shapes == {-1, 0, 1}  # wide, square and tall matrices occur
+
+
+def _random_real_matrix(rng, r, c):
+    """Small rationals with per-row denominators; some rows are zero and
+    some are multiples of the first."""
+    rows = []
+    for _ in range(r):
+        den = rng.choice((1, 2, 3, 7))
+        kind = rng.random()
+        if kind < 0.2:
+            rows.append([0] * c)
+        elif kind < 0.4 and rows:
+            f = Fraction(rng.choice((-3, 1, 2)), den)
+            rows.append([f * x for x in rows[0]])
+        else:
+            rows.append([Fraction(rng.choice((0, 0, 1, -1, 2, -5)),
+                                  rng.choice((1, den))) for _ in range(c)])
+    return M(rows)
+
+
+def test_real_rank_matches_real_form(monkeypatch):
+    rng = random.Random(3131)
+    cases = [_random_real_matrix(rng, r, c)
+             for r, c in [(1, 4), (4, 1), (2, 5), (1, 1)] * 10]
+    cases += [_random_real_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+              for _ in range(150)]
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    cases += [M([[0, 0, 0], [half, third, 0], [1, Fraction(2, 3), 0]]),
+              M([[0], [half], [third]]), M([[third, 0, 0, 0, half]])]
+    want = [int_rank(_real_form(m)[0]) // 2 for m in cases]
+    # a real matrix is eliminated as it is, never through its real form
+    monkeypatch.setattr(exact, "_real_form", None)
+    assert [rank(m) for m in cases] == want
+    assert {0, 1, 2}.issubset(want)
 
 
 def test_inverse_round_trip():

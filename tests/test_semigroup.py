@@ -8,7 +8,9 @@ from matsemi import (Caps, Matrix, ProjectiveElement, Scalar,
                      is_irreducible, projective_canonical, rank_one_factor,
                      rank_one_ideal, xy_decomposition)
 from _fx import M, outer, ones
-from matsemi.semigroup import _key_columns, _key_product
+from matsemi import semigroup
+from matsemi.semigroup import (_key_columns, _key_product, _real_key_columns,
+                               _real_key_product)
 from _reference import (_canonical_vector, reference_algebra_dimension,
                         reference_canonical, reference_closure,
                         reference_group_info, reference_key_product)
@@ -215,9 +217,21 @@ def _random_generators(rng, gaussian, kinds=("dense", "monomial")):
     return gens
 
 
-@pytest.mark.parametrize("gaussian", [False, True])
-def test_closure_matches_fraction_reference(gaussian):
-    rng = random.Random(20260 + gaussian)
+def _with_one_gaussian(rng, gens):
+    """Real generators plus one Gaussian generator of their size: the
+    whole set must run at Gaussian width."""
+    n = gens[0].rows
+    flat = [_random_scalar(rng, False) for _ in range(n * n)]
+    flat[rng.randrange(n * n)] = Scalar(rng.choice((1, -2)),
+                                        rng.choice((1, -1)))
+    return gens + [Matrix(n, n, flat)]
+
+
+@pytest.mark.parametrize("gaussian, mixed",
+                         [(False, False), (True, False), (False, True)],
+                         ids=["False", "True", "mixed"])
+def test_closure_matches_fraction_reference(gaussian, mixed):
+    rng = random.Random(20260 + gaussian + 2 * mixed)
     hit = {"elements": 0, "word_length": 0, "complete": 0}
     for k in range(80):
         # the second half draws rank-one outer products and weighted
@@ -225,6 +239,8 @@ def test_closure_matches_fraction_reference(gaussian):
         gens = _random_generators(
             rng, gaussian, ("dense", "monomial") if k < 40
             else ("weighted_monomial", "outer"))
+        if mixed:
+            gens = _with_one_gaussian(rng, gens)
         caps = Caps(max_elements=rng.choice((6, 25, 60)),
                     max_word_length=rng.choice((2, 3, 6)))
         got = generate_closure(gens, caps)
@@ -295,8 +311,14 @@ def test_sparse_key_product_matches_dense_reference(gaussian):
         sa, sb = rng.choice(_KEY_SHAPES), rng.choice(_KEY_SHAPES)
         a = _random_key(rng, n, gaussian, sa)
         b = _random_key(rng, n, gaussian, sb)
-        assert _key_product(a, _key_columns(b, n), n) == \
-            reference_key_product(a, b, n)
+        want = reference_key_product(a, b, n)
+        if gaussian:
+            assert _key_product(a, _key_columns(b, n), n) == want
+        else:
+            # real keys are Gaussian keys with the zero imaginary parts
+            # dropped, which leaves the gcd unchanged
+            assert _real_key_product(
+                a[::2], _real_key_columns(b[::2], n), n) == want[::2]
         seen.update((sa, sb))
     assert seen == set(_KEY_SHAPES)
 
@@ -333,14 +355,42 @@ def test_algebra_dimension_matches_scalar_reference():
     # the reference multiplies by generators on both sides
     rng = random.Random(4242)
     full = deficient = 0
-    for k in range(160):
-        gens = _random_generators(rng, gaussian=k % 2 == 1)
+    for k in range(240):
+        # real, Gaussian, and real plus one Gaussian generator in turn
+        gens = _random_generators(rng, gaussian=k % 3 == 1)
+        if k % 3 == 2:
+            gens = _with_one_gaussian(rng, gens)
         dim = algebra_dimension(gens)
         assert dim == reference_algebra_dimension(gens)
         n = gens[0].rows
         full += dim == n * n
         deficient += dim < n * n
     assert full and deficient
+
+
+def _raising(width):
+    """A width whose every routine raises."""
+    def boom(*args):
+        raise AssertionError("routine of the wrong width called")
+    return width._replace(**{f: boom for f in width._fields if f != "real"})
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_width_follows_generators(gaussian, monkeypatch):
+    # a silent fall-back to Gaussian keys would give the same answers,
+    # only slower: forbid the other width's routines outright
+    other = "_REAL" if gaussian else "_GAUSSIAN"
+    monkeypatch.setattr(semigroup, other, _raising(getattr(semigroup, other)))
+    rng = random.Random(515 + gaussian)
+    for _ in range(20):
+        gens = _random_generators(rng, gaussian, ("dense", "monomial",
+                                                  "outer"))
+        if gaussian:
+            gens = _with_one_gaussian(rng, gens)
+        cl = generate_closure(gens, Caps(max_elements=40, max_word_length=4))
+        assert cl.elements
+        assert projective_canonical(gens[-1]) == reference_canonical(gens[-1])
+        assert algebra_dimension(gens) == reference_algebra_dimension(gens)
 
 
 def _monomial_generators(rng, gaussian):
