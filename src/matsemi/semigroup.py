@@ -12,14 +12,17 @@ component is 1.  That keeps closures finite in the cases of interest
 and keeps entry sizes bounded.  Closures that hit a cap are marked
 truncated and no downstream check is allowed to treat them as complete.
 
-Keys come in two widths, chosen once per generator set.  When every
-entry of every generator has a zero imaginary part, keys hold the real
-parts only, and closure products, canonical forms and algebra
-elimination run on them: products of real matrices are real, so one
-computation never mixes widths.  Otherwise keys interleave real and
-imaginary parts and the arithmetic is Gaussian.  The width never
-changes an answer: a real key is the Gaussian key of the same matrix
-with its zero imaginary parts dropped.
+A matrix A + iB is keyed by its real parts A when every generator of
+its set is real, and otherwise by the n x 2n block row [A | B].  The
+map A + iB -> [[A, B], [-B, A]] is an injective ring homomorphism, and
+the first block row of the image of XY is [A | B] times the image of
+Y.  So one integer product serves both widths: the right factor of a
+product is each generator's w x w image, A itself when w = n, and
+[[A, B], [-B, A]] when w = 2n.  Its second block row [-B | A] is the
+rotation of the key, the key of iX.  The width is chosen once per
+generator set and read from a key's length after that; it never
+changes an answer, because a real key is the block-row key of the same
+matrix with its zero B block dropped.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exact import (Matrix, Scalar, _int_vector, _square_size, primitive,
                     rank, rank_one_factor)
@@ -47,85 +50,69 @@ class Caps:
             raise ValueError("caps must be positive")
 
 
-def _projective_key(m: Matrix, real: bool) -> Key:
-    """The projective key of m at the given width.
+def _projective_keys(ms: Sequence[Matrix]) -> list[Key]:
+    """The projective keys of a set of matrices, all of one width.
 
-    A real key holds the real parts, row major; a Gaussian key holds
-    the parts re, im, re, im, ...  Either is cleared of denominators and
-    divided by the positive gcd of its parts.  Two matrices of one shape
-    get the same key of one width exactly when one is a positive
-    rational multiple of the other.  A real key is only meaningful for
-    a matrix whose imaginary parts are all zero; the width is chosen by
-    ``_width`` for a whole generator set, so that every key of one
-    computation has the same width.
+    When every entry of every matrix is real, a key holds the real
+    parts A row major; otherwise it holds the block row [A | B], each
+    row of A followed by the same row of B.  Either is cleared of
+    denominators and divided by the positive gcd of its parts.  Two
+    matrices of one shape get the same key of one width exactly when
+    one is a positive rational multiple of the other.
     """
-    if real:
-        return primitive(_int_vector([e.re for e in m.entries]))
-    parts: list[Fraction] = []
-    for e in m.entries:
-        parts.append(e.re)
-        parts.append(e.im)
-    return primitive(_int_vector(parts))
+    real = all(not e.im for m in ms for e in m.entries)
+    keys = []
+    for m in ms:
+        if real:
+            parts = [e.re for e in m.entries]
+        else:
+            parts = []
+            for i in range(m.rows):
+                row = m.row(i)
+                parts += [e.re for e in row]
+                parts += [e.im for e in row]
+        keys.append(primitive(_int_vector(parts)))
+    return keys
 
 
-KeyColumns = tuple[tuple[tuple[int, ...], ...], ...]
+def _rotation(key: Key, n: int) -> Key:
+    """The key [-B | A] of iX, for the block-row key [A | B] of X."""
+    out: list[int] = []
+    for r in range(0, len(key), 2 * n):
+        out += [-x for x in key[r + n:r + 2 * n]]
+        out += key[r:r + n]
+    return tuple(out)
+
+
+KeyColumns = tuple[tuple[tuple[int, int], ...], ...]
 
 
 def _key_columns(key: Key, n: int) -> KeyColumns:
-    """The nonzero entries of each column of an n x n Gaussian key.
+    """The nonzero entries of each column of the w x w image of an
+    n x n matrix's key, placed for every row of a left factor.
 
-    Column j lists its nonzero entries (k, j) as ``(2k, re, im)``; 2k is
-    the offset of entry k within a key row.  Generators are turned into
-    columns once, so a product skips their zero entries for free.
+    The image is the key itself at real width (w = n) and the key over
+    its rotation at block-row width (w = 2n).  Entry (i, j) of a product
+    lists the pairs ``(i*w + k, f_kj)`` for the nonzero entries f_kj of
+    column j of the image: the offset in the left key of the part that
+    f_kj multiplies, and f_kj itself.  Generators are turned into
+    columns once, so a product term is one multiply-add.
     """
-    row_len = 2 * n
-    return tuple(
-        tuple((k, key[k * n + j], key[k * n + j + 1])
-              for k in range(0, row_len, 2)
-              if key[k * n + j] or key[k * n + j + 1])
-        for j in range(0, row_len, 2))
-
-
-def _key_product(a: Key, bcols: KeyColumns, n: int) -> Key:
-    """Gaussian key of the product of the n x n matrix with key a and
-    the one whose key has columns bcols."""
-    out: list[int] = []
-    row_len = 2 * n
-    for i in range(0, row_len * n, row_len):
-        for col in bcols:
-            re = im = 0
-            for k, u, v in col:
-                x = a[i + k]
-                y = a[i + k + 1]
-                re += x * u - y * v
-                im += x * v + y * u
-            out.append(re)
-            out.append(im)
-    return primitive(out)
-
-
-def _real_key_columns(key: Key, n: int) -> KeyColumns:
-    """The nonzero entries of each column of an n x n real key, placed
-    for every row of a left factor.
-
-    Entry (i, j) of a product a b lists the pairs ``(i*n + k, b_kj)``
-    for the nonzero entries b_kj of column j: the offset in a's key of
-    the entry that b_kj multiplies, and b_kj itself.  Generators are
-    turned into columns once, so a product term is one multiply-add.
-    """
-    nn = n * n
-    terms: list[list[tuple[int, int]]] = [[] for _ in range(nn)]
-    for kj, u in enumerate(key):
+    w = len(key) // n
+    image = key if w == n else key + _rotation(key, n)
+    nw = n * w
+    terms: list[list[tuple[int, int]]] = [[] for _ in range(nw)]
+    for kj, u in enumerate(image):
         if u:
-            k, j = divmod(kj, n)
-            for i in range(0, nn, n):
+            k, j = divmod(kj, w)
+            for i in range(0, nw, w):
                 terms[i + j].append((i + k, u))
     return tuple(map(tuple, terms))
 
 
-def _real_key_product(a: Key, bcols: KeyColumns, n: int) -> Key:
-    """Real key of the product of the n x n matrix with real key a and
-    the one whose real key has columns bcols."""
+def _key_product(a: Key, bcols: KeyColumns) -> Key:
+    """Key of the product of the matrix with key a and the one whose
+    key has columns bcols."""
     out: list[int] = []
     for terms in bcols:
         s = 0
@@ -137,27 +124,7 @@ def _real_key_product(a: Key, bcols: KeyColumns, n: int) -> Key:
 
 def _canonical_from_key(key: Key, rows: int, cols: int,
                         memo: dict) -> Matrix:
-    """The max-part-1 canonical matrix of a Gaussian key's scaling class.
-
-    ``memo`` lets the members of one closure share equal entries.
-    """
-    top = max(map(abs, key))
-    if top == 0:
-        return Matrix.zeros(rows, cols)
-    flat = []
-    for k in range(0, len(key), 2):
-        part = (key[k], key[k + 1], top)
-        e = memo.get(part)
-        if e is None:
-            e = memo[part] = Scalar(Fraction(key[k], top),
-                                    Fraction(key[k + 1], top))
-        flat.append(e)
-    return Matrix(rows, cols, flat)
-
-
-def _real_canonical_from_key(key: Key, rows: int, cols: int,
-                             memo: dict) -> Matrix:
-    """The max-part-1 canonical matrix of a real key's scaling class.
+    """The max-part-1 canonical matrix of a key's scaling class.
 
     ``memo`` maps each key maximum to the entries made for it, so the
     members of one closure share equal entries.
@@ -168,47 +135,34 @@ def _real_canonical_from_key(key: Key, rows: int, cols: int,
     entries = memo.get(top)
     if entries is None:
         entries = memo[top] = {}
-    for x in set(key).difference(entries):
-        entries[x] = Scalar(Fraction(x, top))
-    return Matrix(rows, cols, map(entries.__getitem__, key))
+    if len(key) == rows * cols:
+        for x in set(key).difference(entries):
+            entries[x] = Scalar(Fraction(x, top))
+        return Matrix(rows, cols, map(entries.__getitem__, key))
+    flat = []
+    for r in range(0, len(key), 2 * cols):
+        # entry (i, j) is A_ij + i B_ij
+        for part in zip(key[r:r + cols], key[r + cols:r + 2 * cols]):
+            e = entries.get(part)
+            if e is None:
+                e = entries[part] = Scalar(Fraction(part[0], top),
+                                           Fraction(part[1], top))
+            flat.append(e)
+    return Matrix(rows, cols, flat)
 
 
 Basis = list[tuple[int, Key]]  # (pivot part index, echelon row)
 
 
 def _reduce(basis: Basis, row: Key) -> tuple[int, Key]:
-    """Reduce a Gaussian key row by an echelon basis of Gaussian rows.
+    """Reduce a key row by an echelon basis of key rows.
 
     A row is reduced by a basis row with pivot p as
     ``p * row - x * basis_row``, where x is the row's entry in the pivot
-    column, then divided by the gcd of its parts.  Multipliers are
-    Gaussian, so the span is complex-linear.  Returns the part index of
-    the reduced row's first nonzero entry (-1 for a zero row) and the
-    row.
+    column, then divided by the gcd of its parts.  Returns the part
+    index of the reduced row's first nonzero entry (-1 for a zero row)
+    and the row.
     """
-    for lead, e in basis:
-        x = row[lead]
-        y = row[lead + 1]
-        if x or y:
-            p = e[lead]
-            q = e[lead + 1]
-            out = []
-            for k in range(0, len(row), 2):
-                a = row[k]
-                b = row[k + 1]
-                c = e[k]
-                d = e[k + 1]
-                out.append(p * a - q * b - x * c + y * d)
-                out.append(p * b + q * a - x * d - y * c)
-            row = primitive(out)
-    lead = next((k for k in range(0, len(row), 2)
-                 if row[k] or row[k + 1]), -1)
-    return lead, row
-
-
-def _real_reduce(basis: Basis, row: Key) -> tuple[int, Key]:
-    """Reduce a real key row by an echelon basis of real rows: the real
-    step ``p * row - x * basis_row``, made primitive."""
     for lead, e in basis:
         x = row[lead]
         if x:
@@ -218,36 +172,13 @@ def _real_reduce(basis: Basis, row: Key) -> tuple[int, Key]:
     return lead, row
 
 
-class _Width(NamedTuple):
-    """The routines of one key width."""
-
-    real: bool
-    columns: Callable[[Key, int], KeyColumns]
-    product: Callable[[Key, KeyColumns, int], Key]
-    canonical: Callable[[Key, int, int, dict], Matrix]
-    reduce: Callable[[Basis, Key], tuple[int, Key]]
-
-
-_REAL = _Width(True, _real_key_columns, _real_key_product,
-               _real_canonical_from_key, _real_reduce)
-_GAUSSIAN = _Width(False, _key_columns, _key_product, _canonical_from_key,
-                   _reduce)
-
-
-def _width(ms: Sequence[Matrix]) -> _Width:
-    """Real width when every entry of every matrix is real, else Gaussian."""
-    if all(not e.im for m in ms for e in m.entries):
-        return _REAL
-    return _GAUSSIAN
-
-
 def projective_canonical(m: Matrix) -> Matrix:
     """Scale by a positive rational so max(|re|, |im|) over entries is 1.
 
     The zero matrix is its own canonical form.
     """
-    w = _width((m,))
-    return w.canonical(_projective_key(m, w.real), m.rows, m.cols, {})
+    key, = _projective_keys([m])
+    return _canonical_from_key(key, m.rows, m.cols, {})
 
 
 @functools.lru_cache(maxsize=4096)
@@ -312,10 +243,9 @@ def generate_closure(gens: Sequence[Matrix],
     search.
     """
     n = _square_size(gens)
-    width = _width(gens)
-    product = width.product
-    gkeys = [_projective_key(g, width.real) for g in gens]
-    gcols = [width.columns(c, n) for c in gkeys]
+    product = _key_product
+    gkeys = _projective_keys(gens)
+    gcols = [_key_columns(c, n) for c in gkeys]
     words: dict[Key, tuple[int, ...]] = {}
     truncated = False
     for gi, c in enumerate(gkeys):
@@ -332,7 +262,7 @@ def generate_closure(gens: Sequence[Matrix],
         word = words[u]
         extendable = len(word) < caps.max_word_length
         for gi, g in enumerate(gcols):
-            c = product(u, g, n)
+            c = product(u, g)
             if c in words:
                 continue
             if not extendable or len(words) >= caps.max_elements:
@@ -345,7 +275,7 @@ def generate_closure(gens: Sequence[Matrix],
             order.append(c)
     memo: dict = {}
     return SemigroupClosure(
-        elements=tuple(ProjectiveElement(width.canonical(c, n, n, memo),
+        elements=tuple(ProjectiveElement(_canonical_from_key(c, n, n, memo),
                                          words[c]) for c in order),
         truncated=truncated,
         caps=caps,
@@ -366,39 +296,42 @@ def algebra_dimension(gens: Sequence[Matrix]) -> int:
     span, so the span is closed under right multiplication by the
     generators; as it contains I, it contains every word.  Matrices
     enter as projective keys of the generator set's width (a positive
-    scaling does not change a span) and elimination is fraction-free:
-    over the integers for real keys, over the Gaussian integers for
-    Gaussian ones.  The value is the same over any field extending the
+    scaling does not change a span) and elimination is fraction-free
+    over the integers.  At block-row width every row that enters brings
+    its rotation, the key of i times it, so the rational span of the
+    keys is the complex span of the matrices and has twice its
+    dimension.  The value is the same over any field extending the
     rationals because ranks of rational matrices do not change under
     field extension.
     """
     n = _square_size(gens)
-    dim_target = n * n
-    width = _width(gens)
-    product = width.product
-    reduce = width.reduce
-    gcols = [width.columns(_projective_key(g, width.real), n) for g in gens]
+    *gkeys, identity = _projective_keys([*gens, Matrix.identity(n)])
+    gcols = [_key_columns(c, n) for c in gkeys]
+    dim_target = len(identity)
     basis: Basis = []
 
     def try_add(row: Key) -> bool:
-        lead, row = reduce(basis, row)
+        lead, row = _reduce(basis, row)
         if lead < 0:
             return False
         basis.append((lead, row))
+        if len(row) > n * n:
+            # iX is never in a rotation-closed span that lacks X, so
+            # it always enters too
+            basis.append(_reduce(basis, _rotation(row, n)))
         return True
 
-    identity = _projective_key(Matrix.identity(n), width.real)
     try_add(identity)
     frontier = [identity]
     while frontier and len(basis) < dim_target:
         nxt: list[Key] = []
         for m in frontier:
             for g in gcols:
-                prod = product(m, g, n)
+                prod = _key_product(m, g)
                 if try_add(prod):
                     nxt.append(prod)
         frontier = nxt
-    return len(basis)
+    return len(basis) // (dim_target // (n * n))
 
 
 def is_irreducible(gens: Sequence[Matrix]) -> bool:

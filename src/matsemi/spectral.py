@@ -57,8 +57,12 @@ def perron(m: Matrix, tol: float = 1e-9,
     Raises NonConvergenceError if the contract cannot be met within
     max_iters per run.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    # a NaN tolerance compares false with every residual and an infinite
+    # one accepts any iterate, so both are refused with the rest
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     _check_nonnegative_square(m)
     n = m.rows
     flat = [float(e.re) for e in m.entries]

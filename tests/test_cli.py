@@ -108,6 +108,9 @@ def test_perron(paths, capsys):
     slow = paths("slow.json", matrix_to_json(M([[1, 2], [3, 4]])))
     code, _ = run(capsys, ["perron", slow, "--max-iters", "1"])
     assert code == 2  # cannot converge in one step
+    # an infinite tolerance used to accept the first iterate, rho 7
+    assert main(["perron", slow, "--tol", "inf"]) == 2
+    assert "tolerance must be positive and finite" in capsys.readouterr().err
 
     neg = paths("neg.json", matrix_to_json(M([[-1]])))
     code, _ = run(capsys, ["perron", neg])

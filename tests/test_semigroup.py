@@ -9,8 +9,7 @@ from matsemi import (Caps, Matrix, ProjectiveElement, Scalar,
                      rank_one_ideal, xy_decomposition)
 from _fx import M, outer, ones
 from matsemi import semigroup
-from matsemi.semigroup import (_key_columns, _key_product, _real_key_columns,
-                               _real_key_product)
+from matsemi.semigroup import _key_columns, _key_product
 from _reference import (_canonical_vector, reference_algebra_dimension,
                         reference_canonical, reference_closure,
                         reference_group_info, reference_key_product)
@@ -302,9 +301,25 @@ _KEY_SHAPES = ("dense", "zero_rows", "zero_cols", "monomial", "rank_one",
                "zero")
 
 
+def _block_row(key, n):
+    """The [A | B] key of a reference key, which interleaves the real
+    and imaginary part of each entry."""
+    out = []
+    for r in range(0, len(key), 2 * n):
+        out += key[r:r + 2 * n:2] + key[r + 1:r + 2 * n:2]
+    return tuple(out)
+
+
+def _real_parts(key, n):
+    return key[::2]
+
+
 @pytest.mark.parametrize("gaussian", [False, True])
 def test_sparse_key_product_matches_dense_reference(gaussian):
     rng = random.Random(9090 + gaussian)
+    # a real key drops the zero imaginary parts of a reference key and a
+    # block-row key regroups them; neither changes the gcd
+    layout = _block_row if gaussian else _real_parts
     seen = set()
     for _ in range(600):
         n = rng.randint(1, 5)
@@ -312,13 +327,8 @@ def test_sparse_key_product_matches_dense_reference(gaussian):
         a = _random_key(rng, n, gaussian, sa)
         b = _random_key(rng, n, gaussian, sb)
         want = reference_key_product(a, b, n)
-        if gaussian:
-            assert _key_product(a, _key_columns(b, n), n) == want
-        else:
-            # real keys are Gaussian keys with the zero imaginary parts
-            # dropped, which leaves the gcd unchanged
-            assert _real_key_product(
-                a[::2], _real_key_columns(b[::2], n), n) == want[::2]
+        assert _key_product(layout(a, n), _key_columns(layout(b, n), n)) \
+            == layout(want, n)
         seen.update((sa, sb))
     assert seen == set(_KEY_SHAPES)
 
@@ -368,29 +378,34 @@ def test_algebra_dimension_matches_scalar_reference():
     assert full and deficient
 
 
-def _raising(width):
-    """A width whose every routine raises."""
-    def boom(*args):
-        raise AssertionError("routine of the wrong width called")
-    return width._replace(**{f: boom for f in width._fields if f != "real"})
-
-
 @pytest.mark.parametrize("gaussian", [False, True])
 def test_width_follows_generators(gaussian, monkeypatch):
-    # a silent fall-back to Gaussian keys would give the same answers,
-    # only slower: forbid the other width's routines outright
-    other = "_REAL" if gaussian else "_GAUSSIAN"
-    monkeypatch.setattr(semigroup, other, _raising(getattr(semigroup, other)))
+    # a silent fall-back to block-row keys would give the same answers
+    # at twice the cost: record the width of every left factor
+    product = semigroup._key_product
+    widths = set()
+
+    def recording(a, bcols):
+        widths.add(len(a))
+        return product(a, bcols)
+
+    monkeypatch.setattr(semigroup, "_key_product", recording)
     rng = random.Random(515 + gaussian)
     for _ in range(20):
-        gens = _random_generators(rng, gaussian, ("dense", "monomial",
-                                                  "outer"))
+        gens = _random_generators(rng, False, ("dense", "monomial", "outer"))
         if gaussian:
             gens = _with_one_gaussian(rng, gens)
-        cl = generate_closure(gens, Caps(max_elements=40, max_word_length=4))
-        assert cl.elements
-        assert projective_canonical(gens[-1]) == reference_canonical(gens[-1])
+        n = gens[0].rows
+        caps = Caps(max_elements=40, max_word_length=4)
+        widths.clear()
+        got = generate_closure(gens, caps)
+        want = reference_closure(gens, caps)
+        assert [e.word for e in got.elements] == \
+            [e.word for e in want.elements]
+        assert got.canonical_matrices() == want.canonical_matrices()
+        assert got.truncated == want.truncated
         assert algebra_dimension(gens) == reference_algebra_dimension(gens)
+        assert widths == {(2 if gaussian else 1) * n * n}
 
 
 def _monomial_generators(rng, gaussian):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -91,8 +92,11 @@ def test_perron_validation():
         perron(M([[1, -1], [0, 1]]))
     with pytest.raises(ValueError):
         perron(Matrix.from_rows([[Scalar(0, 1)]]))
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            perron(ones(2), tol=tol)
     with pytest.raises(ValueError):
-        perron(ones(2), tol=0.0)
+        perron(ones(2), max_iters=0)
 
 
 def test_perron_nonconvergence():
