@@ -25,10 +25,10 @@ _EXPORTS = {
                 "run_fixtures", "sign_search_oracle",
                 "subset_invariance_oracle", "verify_group_theorem",
                 "verify_semigroup_theorem"),
-    "semigroup": ("Caps", "GroupInfo", "ProjectiveElement", "SemigroupClosure",
+    "semigroup": ("Caps", "ProjectiveElement", "SemigroupClosure",
                   "XYFactorization", "algebra_dimension", "generate_closure",
-                  "group_info", "is_irreducible", "projective_canonical",
-                  "rank_one_ideal", "xy_decomposition"),
+                  "is_irreducible", "projective_canonical", "rank_one_ideal",
+                  "xy_decomposition"),
     "spectral": ("NonConvergenceError", "SpectralResult", "is_primitive",
                  "perron"),
     "structure": ("DecompositionKind", "DecompositionReport", "PatternDigraph",

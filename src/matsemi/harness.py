@@ -20,8 +20,8 @@ from .diagsim import (DiagonalWitness, SignDiagonal, _real_signs, conjugate,
 from .exact import (Matrix, Scalar, _square_size, classify_entries,
                     matrix_product, rank)
 from .io import witness_to_json
-from .semigroup import (Caps, generate_closure, group_info, is_irreducible,
-                        projective_canonical, rank_one_ideal,
+from .semigroup import (Caps, ProjectiveElement, generate_closure,
+                        is_irreducible, projective_canonical, rank_one_ideal,
                         xy_decomposition)
 from .structure import (DecompositionKind, classify_decomposability,
                         union_pattern)
@@ -136,6 +136,40 @@ def _validate_theorem_input(gens: Sequence[Matrix]) -> int:
     return n
 
 
+def _report(theorem: str, hyps: dict[str, HypothesisCheck],
+            gens: Sequence[Matrix], members: Sequence[ProjectiveElement],
+            monomial: bool) -> TheoremReport:
+    """A pipeline's report, its conclusion tested on the generators.
+
+    Conjugation by a diagonal D is multiplicative.  The generators are
+    members, each member is a positive multiple of a product of them,
+    and products of nonnegative (monomial) matrices are nonnegative
+    (monomial), so D makes all ``members`` so exactly when it makes all
+    generators so.  When the hypotheses hold, ``members`` is the whole
+    closure, where a generator's class has the one-letter word of its
+    first generator: one generator per class is tested.
+    """
+    if not all(h.holds for h in hyps.values()):
+        return TheoremReport(theorem, hyps, False, False, None, None,
+                             "hypotheses not established; conclusion untested")
+    gens = [gens[e.word[0]] for e in members if len(e.word) == 1]
+    witness = simultaneous_diag_sim(gens)
+    if witness is None:
+        return TheoremReport(theorem, hyps, True, False, None, None,
+                             "no simultaneous diagonal similarity exists")
+    conj = [conjugate(witness, g) for g in gens]
+    conclusion = all(x.is_nonneg_real for c in conj for x in c.entries)
+    notes = f"witness verified on {len(members)} members"
+    monomial_check = None
+    if monomial:
+        monomial_check = all(classify_entries(c).is_monomial for c in conj)
+        conclusion = conclusion and monomial_check
+        if not monomial_check:
+            notes += "; a conjugated member is not monomial"
+    return TheoremReport(theorem, hyps, True, conclusion, witness,
+                         monomial_check, notes)
+
+
 def verify_group_theorem(gens: Sequence[Matrix],
                          caps: Caps = Caps()) -> TheoremReport:
     """Irreducible groups with nonnegative diagonals become nonnegative
@@ -143,20 +177,23 @@ def verify_group_theorem(gens: Sequence[Matrix],
 
     Hypotheses: the capped closure is a finite inverse-closed group of
     invertible matrices; the generators act irreducibly; every closure
-    member has a nonnegative diagonal.  When all hold, a simultaneous
-    witness is computed and every conjugated member is verified to be
-    nonnegative and monomial.
+    member has a nonnegative diagonal.  When all hold, one witness must
+    make every generator nonnegative and monomial (see ``_report``).
+
+    A complete closure of invertible classes is a group: the powers of
+    a member g fall in finitely many classes, so g^k = c * g^l for some
+    k > l and c > 0, and g^-1 is in the class of g^(k-l-1) (of g itself
+    when k = l + 1).
     """
     n = _validate_theorem_input(gens)
     closure = generate_closure(gens, caps)
-    info = group_info(gens, caps, closure=closure)
     hyps: dict[str, HypothesisCheck] = {}
 
     if closure.truncated:
         a = HypothesisCheck(False, (
             f"closure truncated at {len(closure.elements)} elements; "
             "group property not established"))
-    elif not info.all_invertible:
+    elif not all(rank(g) == n for g in gens):
         a = HypothesisCheck(False, "a generator is singular")
     else:
         a = HypothesisCheck(True, (
@@ -175,35 +212,7 @@ def verify_group_theorem(gens: Sequence[Matrix],
         detail += " (only the truncated closure was checked)"
     hyps["nonneg_diagonals"] = HypothesisCheck(not bad, detail)
 
-    applicable = all(h.holds for h in hyps.values())
-    witness = None
-    monomial: Optional[bool] = None
-    conclusion = False
-    notes = []
-    if applicable:
-        mats = closure.canonical_matrices()
-        witness = simultaneous_diag_sim(mats)
-        if witness is None:
-            notes.append("no simultaneous diagonal similarity exists")
-        else:
-            facts = [classify_entries(conjugate(witness, m)) for m in mats]
-            nonneg = all(f.is_nonnegative for f in facts)
-            monomial = all(f.is_monomial for f in facts)
-            conclusion = nonneg and monomial
-            notes.append(f"witness verified on {len(facts)} members")
-            if not monomial:
-                notes.append("a conjugated member is not monomial")
-    else:
-        notes.append("hypotheses not established; conclusion untested")
-    return TheoremReport(
-        theorem="Group",
-        hypotheses=hyps,
-        applicable=applicable,
-        conclusion_holds=conclusion,
-        witness=witness,
-        monomial_check=monomial,
-        notes="; ".join(notes),
-    )
+    return _report("Group", hyps, gens, closure.elements, True)
 
 
 def verify_semigroup_theorem(gens: Sequence[Matrix],
@@ -251,30 +260,8 @@ def verify_semigroup_theorem(gens: Sequence[Matrix],
                 f"member {offenders[0]} has rank >= 2 and more than "
                 "two components")
 
-    applicable = all(h.holds for h in hyps.values())
-    witness = None
-    conclusion = False
-    notes = []
-    if applicable:
-        mats = closure.canonical_matrices()
-        witness = simultaneous_diag_sim(mats)
-        if witness is None:
-            notes.append("no simultaneous diagonal similarity exists")
-        else:
-            conclusion = all(x.is_nonneg_real for m in mats
-                             for x in conjugate(witness, m).entries)
-            notes.append(f"witness verified on {len(mats)} members")
-    else:
-        notes.append("hypotheses not established; conclusion untested")
-    return TheoremReport(
-        theorem="Semigroup2x2" if n == 2 else "Semigroup",
-        hypotheses=hyps,
-        applicable=applicable,
-        conclusion_holds=conclusion,
-        witness=witness,
-        monomial_check=None,
-        notes="; ".join(notes),
-    )
+    return _report("Semigroup2x2" if n == 2 else "Semigroup", hyps, gens,
+                   closure.elements, False)
 
 
 # -- planted instances -----------------------------------------------------

@@ -115,7 +115,10 @@ def cone_to_json(k: Cone) -> dict:
 
 def load_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nesting is too deep to read") from None
 
 
 def load_matrix(path: str) -> Matrix:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .exact import (Matrix, Scalar, _int_vector, _square_size, primitive,
                     rank, rank_one_factor)
@@ -214,12 +214,6 @@ class SemigroupClosure:
 
 
 @dataclass(frozen=True)
-class GroupInfo:
-    all_invertible: bool
-    closed_under_inverse_within_cap: bool
-
-
-@dataclass(frozen=True)
 class XYFactorization:
     x_vectors: tuple[tuple[Scalar, ...], ...]
     y_vectors: tuple[tuple[Scalar, ...], ...]
@@ -341,29 +335,6 @@ def is_irreducible(gens: Sequence[Matrix]) -> bool:
     so the test is one exact dimension computation.
     """
     return algebra_dimension(gens) == gens[0].rows ** 2
-
-
-def group_info(gens: Sequence[Matrix], caps: Caps = Caps(),
-               closure: Optional[SemigroupClosure] = None) -> GroupInfo:
-    """Invertibility of generators, and inverse-closure of the closure.
-
-    Inverse-closure is projective: the class of each member's inverse
-    must itself be a member.  It holds exactly when every generator is
-    invertible and the closure is complete, because a finite semigroup
-    of invertible classes is a group.  The powers of a member g fall in
-    finitely many classes, so g^k = c * g^l for some k > l and c > 0;
-    then g^(k-l) = c * I and g^-1 = g^(k-l-1) / c, a member's class (g's
-    own when k = l + 1, as g is then a multiple of I).  With a truncated
-    closure (or any singular generator) the property is not established
-    and is reported False.
-    """
-    n = _square_size(gens)
-    all_invertible = all(rank(g) == n for g in gens)
-    if not all_invertible:
-        return GroupInfo(False, False)
-    if closure is None:
-        closure = generate_closure(gens, caps)
-    return GroupInfo(True, not closure.truncated)
 
 
 def xy_decomposition(ideal: Sequence[ProjectiveElement]) -> XYFactorization:

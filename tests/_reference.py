@@ -4,9 +4,11 @@ These are the straightforward rational versions.  For semigroups every
 product goes through ``matrix_product``, every canonical form through
 ``Matrix.scale``, spans are eliminated with ``Scalar`` division, and
 group closures are checked by inverting every member, and key products
-are the dense integer loop over every entry.  Diagonal similarity is
-decided on ``Scalar`` values: propagated along the support graph, reduced
-to signs when real, and verified by conjugating every matrix.
+are the dense integer loop over every entry.  Theorem conclusions are
+tested on every closure member rather than on the generators.
+Diagonal similarity is decided on ``Scalar`` values: propagated along
+the support graph, reduced to signs when real, and verified by
+conjugating every matrix.
 For cones the dual is computed on canonical ``Fraction`` rays with
 ``Fraction`` Gauss-Jordan elimination and a ``Scalar`` ``inverse`` for
 the initial simplicial cone, and membership, properness and extreme
@@ -23,9 +25,11 @@ from collections import deque
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from matsemi import (Caps, Cone, DiagonalWitness, GroupInfo, Matrix,
-                     ProjectiveElement, PropernessReport, Ray, Scalar,
-                     SemigroupClosure, canonical_ray, generate_closure, rank)
+from matsemi import (Caps, Cone, DiagonalWitness, Matrix, ProjectiveElement,
+                     PropernessReport, Ray, Scalar, SemigroupClosure,
+                     TheoremReport, canonical_ray, classify_entries,
+                     conjugate, generate_closure, rank,
+                     simultaneous_diag_sim)
 from matsemi.cones import Vec
 from matsemi.exact import (ONE, _as_fraction, _int_vector, int_rank, inverse,
                            matrix_product, primitive)
@@ -116,21 +120,50 @@ def reference_algebra_dimension(gens) -> int:
     return len(basis)
 
 
-def reference_group_info(gens, caps: Caps = Caps(), closure=None) -> GroupInfo:
-    """Inverse-closure checked member by member with an exact inverse."""
+def reference_group_info(gens, caps: Caps = Caps()) -> tuple[bool, bool]:
+    """(all generators invertible, closure inverse-closed within caps),
+    with inverse-closure checked member by member by an exact inverse."""
     n = gens[0].rows
-    all_invertible = all(rank(g) == n for g in gens)
-    if not all_invertible:
-        return GroupInfo(False, False)
-    if closure is None:
-        closure = generate_closure(gens, caps)
+    if not all(rank(g) == n for g in gens):
+        return False, False
+    closure = generate_closure(gens, caps)
     if closure.truncated:
-        return GroupInfo(True, False)
+        return True, False
     for e in closure.elements:
         # members are products of invertible generators, so inversion succeeds
         if not closure.contains_matrix(inverse(e.canonical)):
-            return GroupInfo(True, False)
-    return GroupInfo(True, True)
+            return True, False
+    return True, True
+
+
+def reference_report(theorem: str, hyps, closure: SemigroupClosure,
+                     monomial: bool) -> TheoremReport:
+    """A pipeline's report with its conclusion tested on every closure
+    member: one witness for all members, each conjugated member checked
+    to be nonnegative (and monomial for the group theorem)."""
+    applicable = all(h.holds for h in hyps.values())
+    witness = None
+    monomial_check: Optional[bool] = None
+    conclusion = False
+    notes = []
+    if applicable:
+        mats = closure.canonical_matrices()
+        witness = simultaneous_diag_sim(mats)
+        if witness is None:
+            notes.append("no simultaneous diagonal similarity exists")
+        else:
+            facts = [classify_entries(conjugate(witness, m)) for m in mats]
+            conclusion = all(f.is_nonnegative for f in facts)
+            notes.append(f"witness verified on {len(facts)} members")
+            if monomial:
+                monomial_check = all(f.is_monomial for f in facts)
+                conclusion = conclusion and monomial_check
+                if not monomial_check:
+                    notes.append("a conjugated member is not monomial")
+    else:
+        notes.append("hypotheses not established; conclusion untested")
+    return TheoremReport(theorem, hyps, applicable, conclusion, witness,
+                         monomial_check, "; ".join(notes))
 
 
 def reference_key_product(a: Key, b: Key, n: int) -> Key:

@@ -182,6 +182,17 @@ def test_bad_input_paths_exit_2(paths, capsys, tmp_path):
     assert code == 2
 
 
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    code = main(["analyze", str(deep)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "nesting" in captured.err
+
+
 def test_exponent_notation_exits_2(paths, capsys):
     m = paths("m.json", {"rows": 1, "cols": 1, "entries": [["1e5"]]})
     g = paths("g.json", {"matrices": [

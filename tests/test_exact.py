@@ -6,7 +6,7 @@ import pytest
 
 from matsemi import (Cone, Matrix, Scalar, algebra_dimension, canonical_ray,
                      classify_entries, classify_decomposability,
-                     generate_closure, group_info, inverse, is_irreducible,
+                     generate_closure, inverse, is_irreducible,
                      matrix_product, matrix_vector, pattern_digraph, perron,
                      rank, rank_one_factor, sign_search_oracle,
                      simultaneous_diag_sim, spectral,
@@ -362,7 +362,7 @@ def test_int_inverse_columns_are_positive_multiples():
 
 
 _COLLECTION_ENTRY_POINTS = (
-    generate_closure, algebra_dimension, is_irreducible, group_info,
+    generate_closure, algebra_dimension, is_irreducible,
     simultaneous_diag_sim, union_pattern, sign_search_oracle,
     verify_group_theorem, verify_semigroup_theorem)
 

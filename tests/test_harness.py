@@ -1,16 +1,19 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from matsemi import (Caps, DecompositionKind, Matrix, Scalar,
+from matsemi import (Caps, DecompositionKind, DiagonalWitness, Matrix, Scalar,
                      classify_decomposability, classify_entries, conjugate,
                      diag_sim_nonneg, generate_closure)
 from matsemi.harness import (MAX_SIGN_SEARCH_N, MAX_SUBSET_SEARCH_N,
-                             fixture_names, plant_group_instance,
-                             plant_semigroup_instance, run_fixtures,
-                             sign_search_oracle, subset_invariance_oracle,
-                             verify_group_theorem, verify_semigroup_theorem)
+                             HypothesisCheck, _report, fixture_names,
+                             plant_group_instance, plant_semigroup_instance,
+                             run_fixtures, sign_search_oracle,
+                             subset_invariance_oracle, verify_group_theorem,
+                             verify_semigroup_theorem)
 from _fx import M, random_int_matrix, random_pattern
+from _reference import reference_report
 
 C3 = M([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
@@ -205,6 +208,118 @@ def test_semigroup_pipeline_gates_on_truncation():
                                               max_word_length=40))
     h = rep.hypotheses["members_individually_feasible"]
     assert not h.holds and "truncated" in h.detail
+
+
+PLANT_CAPS = Caps(max_elements=300, max_word_length=8)
+
+# Unit-modulus Gaussian rationals: conjugating by a diagonal of these
+# keeps entry sizes small and makes every instance non-real.
+PHASES = (Scalar(1), Scalar(0, 1), Scalar(Fraction(3, 5), Fraction(4, 5)),
+          Scalar(-1), Scalar(Fraction(-4, 5), Fraction(3, 5)))
+
+
+def _conjugated_plants(seed, count, entry):
+    """Planted generator sets, each conjugated by a diagonal whose
+    entries are drawn by ``entry(rng)``, with their pipeline and
+    whether it is the group theorem."""
+    rng = random.Random(seed)
+    for k in range(count):
+        group = k % 2 == 0
+        plant = plant_group_instance if group else plant_semigroup_instance
+        n = rng.randint(2, 4)
+        gens, _ = plant(rng, n)
+        d = DiagonalWitness(tuple(entry(rng) for _ in range(n)))
+        verify = verify_group_theorem if group else verify_semigroup_theorem
+        yield [conjugate(d, g) for g in gens], verify, group
+
+
+def _reference_for(gens, rep, group):
+    closure = generate_closure(gens, PLANT_CAPS)
+    return closure, reference_report(rep.theorem, rep.hypotheses, closure,
+                                     monomial=group)
+
+
+def test_report_matches_member_reference_on_real_plants():
+    def signed_positive(rng):
+        return Scalar(rng.choice((1, -1))
+                      * Fraction(rng.randint(1, 3), rng.randint(1, 3)))
+
+    applicable = 0
+    for gens, verify, group in _conjugated_plants(7, 120, signed_positive):
+        rep = verify(gens, PLANT_CAPS)
+        _, want = _reference_for(gens, rep, group)
+        assert rep.to_json() == want.to_json()
+        applicable += rep.applicable
+    assert applicable >= 10
+
+
+def test_report_matches_member_reference_on_gaussian_plants():
+    applicable = 0
+    for gens, verify, group in _conjugated_plants(
+            7, 120, lambda rng: rng.choice(PHASES)):
+        rep = verify(gens, PLANT_CAPS)
+        closure, want = _reference_for(gens, rep, group)
+        got = rep.to_json()
+        ref = want.to_json()
+        assert (got.pop("witness") is None) == (ref.pop("witness") is None)
+        assert got == ref
+        if rep.witness is not None:
+            applicable += 1
+            for m in closure.canonical_matrices():
+                assert classify_entries(
+                    conjugate(rep.witness, m)).is_nonnegative
+    assert applicable >= 5
+
+
+def _group_report(gens):
+    """The Group conclusion on gens with every hypothesis assumed, and
+    the member-quantified reference for it."""
+    hyps = {"given": HypothesisCheck(True, "assumed for the test")}
+    closure = generate_closure(gens)
+    rep = _report("Group", hyps, gens, closure.elements, True)
+    assert rep.to_json() == reference_report("Group", hyps, closure,
+                                             monomial=True).to_json()
+    return rep
+
+
+def test_group_report_on_signed_permutations():
+    d = DiagonalWitness(tuple(map(Scalar, (1, -1, 1))))
+    gens = [conjugate(d, C3), conjugate(d, M([[0, 1, 0], [1, 0, 0],
+                                              [0, 0, 1]]))]
+    rep = _group_report(gens)
+    assert rep.applicable and rep.conclusion_holds and not rep.falsified
+    assert rep.monomial_check is True
+    assert rep.witness == d
+    assert rep.notes == "witness verified on 6 members"
+
+
+def test_group_report_on_non_monomial_set():
+    rep = _group_report([M([[1, 1], [0, 1]])])
+    assert rep.applicable and not rep.conclusion_holds and rep.falsified
+    assert rep.monomial_check is False
+    assert rep.notes == ("witness verified on 12 members; "
+                         "a conjugated member is not monomial")
+
+
+def test_group_report_on_infeasible_pair():
+    rep = _group_report([M([[1, 1], [1, 1]]), M([[1, -1], [-1, 1]])])
+    assert rep.applicable and rep.falsified
+    assert rep.witness is None and rep.monomial_check is None
+    assert rep.notes == "no simultaneous diagonal similarity exists"
+
+
+def test_report_rechecks_the_witness(monkeypatch):
+    # the conclusion is verified, not taken from the solver: a witness
+    # that leaves a negative entry falsifies the run
+    import matsemi.harness as h
+
+    monkeypatch.setattr(h, "simultaneous_diag_sim",
+                        lambda gens: DiagonalWitness((Scalar(1), Scalar(1))))
+    gens = [M([[0, -1], [1, 0]])]
+    rep = _report("Group", {"given": HypothesisCheck(True, "assumed")}, gens,
+                  generate_closure(gens).elements, True)
+    assert rep.falsified and not rep.conclusion_holds
+    assert rep.monomial_check is True
 
 
 # -- planted instances ------------------------------------------------------

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from matsemi import (Caps, Matrix, ProjectiveElement, Scalar,
-                     algebra_dimension, generate_closure, group_info,
-                     is_irreducible, projective_canonical, rank_one_factor,
-                     rank_one_ideal, xy_decomposition)
+                     algebra_dimension, generate_closure, is_irreducible,
+                     projective_canonical, rank_one_factor, rank_one_ideal,
+                     verify_group_theorem, xy_decomposition)
 from _fx import M, outer, ones
 from matsemi import semigroup
 from matsemi.semigroup import _key_columns, _key_product
@@ -98,28 +98,32 @@ def test_closure_validation():
         generate_closure([Matrix.zeros(2, 3)])
 
 
-def test_group_info_cyclic_group():
-    info = group_info([C3])
-    assert info.all_invertible and info.closed_under_inverse_within_cap
+def _group_hypothesis(gens, caps=Caps()):
+    return verify_group_theorem(gens, caps).hypotheses[
+        "closure_is_group_within_caps"]
 
 
-def test_group_info_singular_generator():
-    info = group_info([M([[1, 0], [0, 0]])])
-    assert not info.all_invertible
-    assert not info.closed_under_inverse_within_cap
+def test_group_hypothesis_cyclic_group():
+    h = _group_hypothesis([C3])
+    assert h.holds and "3 elements" in h.detail
 
 
-def test_group_info_truncated_closure():
-    info = group_info([Matrix.diagonal([2, 1])],
-                      Caps(max_elements=4, max_word_length=50))
-    assert info.all_invertible
-    assert not info.closed_under_inverse_within_cap
+def test_group_hypothesis_singular_generator():
+    h = _group_hypothesis([C3, M([[1, 0, 0], [0, 1, 0], [0, 0, 0]])])
+    assert not h.holds and "singular" in h.detail
 
 
-def test_group_info_accepts_precomputed_closure():
-    cl = generate_closure([C3])
-    info = group_info([C3], closure=cl)
-    assert info.closed_under_inverse_within_cap
+def test_group_hypothesis_truncated_closure():
+    h = _group_hypothesis([Matrix.diagonal([2, 1])],
+                          Caps(max_elements=4, max_word_length=50))
+    assert not h.holds and "truncated at 4 elements" in h.detail
+
+
+def test_group_hypothesis_truncation_outranks_singularity():
+    # a truncated closure is reported as such, singular generator or not
+    h = _group_hypothesis([Matrix.diagonal([2, 1, 0])],
+                          Caps(max_elements=4, max_word_length=50))
+    assert not h.holds and "truncated" in h.detail
 
 
 def test_algebra_dimension_examples():
@@ -432,17 +436,20 @@ def _monomial_generators(rng, gaussian):
 
 
 @pytest.mark.parametrize("gaussian", [False, True])
-def test_group_info_matches_member_inverse_reference(gaussian):
+def test_group_hypothesis_matches_member_inverse_reference(gaussian):
     rng = random.Random(5150 + gaussian)
     outcomes = set()
     for _ in range(60):
         gens = _monomial_generators(rng, gaussian)
         caps = Caps(max_elements=rng.choice((10, 60, 400)),
                     max_word_length=rng.choice((4, 12)))
-        info = group_info(gens, caps)
-        assert info == reference_group_info(gens, caps)
-        outcomes.add((info.all_invertible,
-                      info.closed_under_inverse_within_cap))
+        h = _group_hypothesis(gens, caps)
+        want = reference_group_info(gens, caps)
+        assert h.holds == all(want)
+        truncated = generate_closure(gens, caps).truncated
+        assert ("truncated" in h.detail) == truncated
+        assert ("singular" in h.detail) == (not truncated and not want[0])
+        outcomes.add(want)
     # singular, truncated and complete groups all occur
     assert outcomes == {(False, False), (True, False), (True, True)}
 
