@@ -5,14 +5,26 @@ rank computations) reduces to exact comparisons of ``fractions.Fraction``
 values.  Nothing in this module rounds; the floating-point world is
 confined to :mod:`matsemi.spectral`.
 
-All elimination runs on one fraction-free integer Gauss-Jordan core at
-the end of this module, which keeps every row a primitive integer
-vector.  Where only rays matter (vectors up to positive scaling),
-callers clear denominators and use it directly.  ``rank`` of a matrix
-with no imaginary part eliminates its denominator-cleared rows as they
-are.  ``rank`` of any other matrix A + iB, and ``inverse`` of every
-matrix, use the core on the integer real form [[A, -B], [B, A]], which
-has twice the rank and inverts to the real form of the inverse.
+This is the only module that turns matrices into integers and
+eliminates them, with one fraction-free step (``_clear``) that keeps
+every row a primitive integer vector.  Rank and independence questions
+grow an echelon basis with it; Gauss-Jordan elimination serves null
+spaces and inverses.  Where only rays matter, callers clear
+denominators and use the core directly.
+
+Matrices enter the core as projective keys: their parts cleared of
+denominators and divided by their positive gcd.  A matrix A + iB is
+keyed by its real parts A when every matrix of its set is real, and
+otherwise by the n x 2n block row [A | B].  The map A + iB ->
+[[A, B], [-B, A]] is an injective ring homomorphism, and the first
+block row of the image of XY is [A | B] times the image of Y.  So one
+integer product serves both widths: the right factor of a product is
+the w x w image, A itself when w = n, and [[A, B], [-B, A]] when
+w = 2n.  Its second block row [-B | A] is the rotation of the key, the
+key of iX.  The width is chosen once per set and read from a key's
+length after that; it never changes an answer, because a real key is
+the block-row key of the same matrix with its zero B block dropped.
+``rank`` and ``inverse`` eliminate the rows of the image.
 """
 
 from __future__ import annotations
@@ -120,7 +132,7 @@ class Scalar:
     # -- plumbing ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             other = Scalar(other)
         if not isinstance(other, Scalar):
             return NotImplemented
@@ -301,6 +313,8 @@ def _square_size(ms: Sequence[Matrix]) -> int:
 
 # -- fraction-free elimination over the integers ------------------------
 
+Key = tuple[int, ...]
+
 
 def primitive(v: Sequence[int]) -> tuple[int, ...]:
     """v divided by the positive gcd of its entries.
@@ -314,6 +328,18 @@ def primitive(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(v)
 
 
+def _clear(row: Sequence[int], prow: Sequence[int], c: int) -> Key:
+    """|a| * row - sign(a) * b * prow for a = prow[c] != 0, b = row[c].
+
+    Both factors are divided by gcd(a, b), and the result by its
+    positive gcd, so it is primitive and zero at column c.
+    """
+    a, b = prow[c], row[c]
+    g = math.gcd(a, b)
+    fa, fb = abs(a) // g, b // g if a > 0 else -b // g
+    return primitive([fa * x - fb * y for x, y in zip(row, prow)])
+
+
 def int_gauss_jordan(
         rows: Sequence[Sequence[int]]
 ) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -323,11 +349,8 @@ def int_gauss_jordan(
     entry D_i at column pivots[i] and zeros in every other pivot column,
     so it is D_i times row i of the rational reduced row echelon form;
     the rows after those are zero.  Each update clears one entry with
-    integer factors, row <- |D| * row - sign(D) * row[c] * pivot_row
-    (both factors divided by their gcd), and then divides the row by its
-    positive gcd, so entries stay integers and every row stays
-    primitive.  D_i may be negative: callers dividing by it must keep
-    its sign.
+    ``_clear``, so entries stay integers and every row stays primitive.
+    D_i may be negative: callers dividing by it must keep its sign.
     """
     work = [primitive(r) for r in rows]
     pivots: list[int] = []
@@ -342,23 +365,45 @@ def int_gauss_jordan(
             continue
         work[r], work[p] = work[p], work[r]
         prow = work[r]
-        a = prow[c]
         for i in range(nrows):
-            b = work[i][c]
-            if i == r or not b:
-                continue
-            g = math.gcd(a, b)
-            fa, fb = abs(a) // g, b // g if a > 0 else -b // g
-            work[i] = primitive([fa * x - fb * y
-                                 for x, y in zip(work[i], prow)])
+            if i != r and work[i][c]:
+                work[i] = _clear(work[i], prow, c)
         pivots.append(c)
         r += 1
     return work, pivots
 
 
+Basis = list[tuple[int, Key]]  # (pivot part index, echelon row)
+
+
+def _reduce(basis: Basis, row: Sequence[int]) -> tuple[int, Key]:
+    """Clear an integer row at the pivots of an echelon basis, in order.
+
+    Returns the part index of the reduced row's first nonzero entry (-1
+    when the row lies in the span of the basis) and the row.
+    """
+    for lead, e in basis:
+        if row[lead]:
+            row = _clear(row, e, lead)
+    lead = next((k for k, a in enumerate(row) if a), -1)
+    return lead, tuple(row)
+
+
+def int_independent_subset(vecs: Sequence[Sequence[int]]) -> list[int]:
+    """Indices of the vectors outside the span of the earlier ones."""
+    basis: Basis = []
+    picked: list[int] = []
+    for i, v in enumerate(vecs):
+        lead, v = _reduce(basis, v)
+        if lead >= 0:
+            basis.append((lead, v))
+            picked.append(i)
+    return picked
+
+
 def int_rank(rows: Sequence[Sequence[int]]) -> int:
     """Exact rank of an integer matrix given by its rows."""
-    return len(int_gauss_jordan(rows)[1])
+    return len(int_independent_subset(rows))
 
 
 def int_nullspace(rows: Sequence[Sequence[int]],
@@ -382,18 +427,6 @@ def int_nullspace(rows: Sequence[Sequence[int]],
             v[p] = -red[i][f] * (den // red[i][p])
         basis.append(primitive(v))
     return basis
-
-
-def int_independent_subset(vecs: Sequence[Sequence[int]]) -> list[int]:
-    """Indices of a maximal independent subset, greedily in given order.
-
-    These are the pivot columns of the matrix whose columns are vecs: a
-    column is a pivot exactly when it is outside the span of the earlier
-    ones.
-    """
-    if not vecs:
-        return []
-    return int_gauss_jordan(list(zip(*vecs)))[1]
 
 
 def _int_vector(v: Sequence[Fraction]) -> tuple[int, ...]:
@@ -432,66 +465,86 @@ def int_inverse_columns(b: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
             for j in range(n)]
 
 
-# -- Gaussian matrices on the integer core -------------------------------
+# -- matrices on the integer core: projective keys ----------------------
 
 
-def _real_form(m: Matrix) -> tuple[list[list[int]], list[int]]:
-    """Integer rows of the real form [[A, -B], [B, A]] of m = A + iB.
+def _projective_keys(ms: Sequence[Matrix]) -> list[Key]:
+    """The projective keys of a set of matrices, all of one width.
 
-    Rows i and m.rows + i come from row i of m and are both scaled by
-    L_i, the positive lcm of that row's denominators; returns the rows
-    and the L_i.  The real form is m acting on C^n = R^n + iR^n, so its
-    rank is twice the rank of m, and when m is invertible its inverse is
-    the real form of m^-1.
+    When every entry of every matrix is real, a key holds the real
+    parts A row major; otherwise it holds the block row [A | B], each
+    row of A followed by the same row of B.  Either is cleared of
+    denominators and divided by the positive gcd of its parts.  Two
+    matrices of one shape get the same key of one width exactly when
+    one is a positive rational multiple of the other.
     """
-    top: list[list[int]] = []
-    bottom: list[list[int]] = []
-    dens: list[int] = []
-    for i in range(m.rows):
-        row = m.row(i)
-        parts = [e.re for e in row] + [e.im for e in row]
-        den = math.lcm(*(x.denominator for x in parts))
-        ints = [x.numerator * (den // x.denominator) for x in parts]
-        re, im = ints[:m.cols], ints[m.cols:]
-        top.append(re + [-x for x in im])
-        bottom.append(im + re)
-        dens.append(den)
-    return top + bottom, dens
+    real = all(not e.im for m in ms for e in m.entries)
+    keys = []
+    for m in ms:
+        if real:
+            parts = [e.re for e in m.entries]
+        else:
+            parts = []
+            for i in range(m.rows):
+                row = m.row(i)
+                parts += [e.re for e in row]
+                parts += [e.im for e in row]
+        keys.append(primitive(_int_vector(parts)))
+    return keys
+
+
+def _rotation(key: Key, n: int) -> Key:
+    """The key [-B | A] of iX, for the block-row key [A | B] of X."""
+    out: list[int] = []
+    for r in range(0, len(key), 2 * n):
+        out += [-x for x in key[r + n:r + 2 * n]]
+        out += key[r:r + n]
+    return tuple(out)
+
+
+def _image_rows(m: Matrix) -> list[Key]:
+    """The rows of s times the image of m, for the positive rational s
+    of its key: the key's rows and, at block-row width, its rotation's.
+    """
+    key, = _projective_keys([m])
+    w = len(key) // m.rows
+    if w > m.cols:
+        key += _rotation(key, m.cols)
+    return [key[i:i + w] for i in range(0, len(key), w)]
 
 
 def rank(m: Matrix) -> int:
     """Exact rank over the Gaussian rationals.
 
-    A matrix whose imaginary parts are all zero is eliminated as it is,
-    cleared of its denominators: its rank over the rationals is its
-    rank over the Gaussian rationals, because rank does not change under
-    field extension.  Any other matrix takes half the rank of its real
-    form.
+    A real image A has the rank of m, as rank does not change under
+    field extension; the image [[A, B], [-B, A]] has twice that rank.
     """
-    if all(not e.im for e in m.entries):
-        flat = _int_vector([e.re for e in m.entries])
-        return int_rank([flat[i:i + m.cols]
-                         for i in range(0, len(flat), m.cols)])
-    return int_rank(_real_form(m)[0]) // 2
+    rows = _image_rows(m)
+    return int_rank(rows) * m.cols // len(rows[0])
 
 
 def inverse(m: Matrix) -> Matrix:
     """Exact inverse.  Raises ValueError on non-square or singular input.
 
-    Eliminating [R | I] for the scaled real form R = diag(L) [[A, -B],
-    [B, A]] gives R^-1 = diag(D)^-1 X.  The first n columns of R^-1
-    diag(L) are C over D for m^-1 = C + iD.
+    Eliminating [R | I] for the image rows R gives R^-1 = diag(D)^-1 X,
+    and s R^-1 is the image of m^-1, whose first n rows are its key.
     """
     if not m.is_square:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    rows, dens = _real_form(m)
+    rows = _image_rows(m)
+    w = len(rows)
     red = _int_inverse_rows(rows)
+    # s is a nonzero key part of row 0 over the part of m it scales
+    k = next(k for k, x in enumerate(rows[0]) if x)
+    e = m.entry(0, k % n)
+    s = rows[0][k] / (e.re if k < n else e.im)
 
-    def part(i: int, j: int) -> Fraction:
-        return Fraction(red[i][2 * n + j] * dens[j], red[i][i])
+    def part(i: int, k: int) -> Fraction:
+        return Fraction(red[i][w + k] * s.numerator,
+                        red[i][i] * s.denominator)
 
-    return Matrix(n, n, [Scalar(part(i, j), part(n + i, j))
+    return Matrix(n, n, [Scalar(part(i, j), part(i, n + j) if w > n else 0)
                          for i in range(n) for j in range(n)])
 
 

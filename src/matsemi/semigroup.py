@@ -3,26 +3,14 @@
 Scaling a matrix by a positive rational changes nothing that this
 package cares about (signs, zero patterns, diagonal similarity), so
 closures are computed projectively.  Inside, every positive-scaling
-class is represented by one projective key: the matrix's parts, cleared
-of denominators and divided by their positive gcd.  Products of keys
-are plain integer arithmetic on each generator's nonzero column
-entries, and the closure is a set of keys.  At the boundary each member
-is handed out in canonical form, scaled so the largest entry magnitude
+class is represented by its projective key from :mod:`matsemi.exact`,
+of the width chosen once for the generator set.  Products of keys are
+plain integer arithmetic on each generator's nonzero image columns,
+and the closure is a set of keys.  At the boundary each member is
+handed out in canonical form, scaled so the largest entry magnitude
 component is 1.  That keeps closures finite in the cases of interest
 and keeps entry sizes bounded.  Closures that hit a cap are marked
 truncated and no downstream check is allowed to treat them as complete.
-
-A matrix A + iB is keyed by its real parts A when every generator of
-its set is real, and otherwise by the n x 2n block row [A | B].  The
-map A + iB -> [[A, B], [-B, A]] is an injective ring homomorphism, and
-the first block row of the image of XY is [A | B] times the image of
-Y.  So one integer product serves both widths: the right factor of a
-product is each generator's w x w image, A itself when w = n, and
-[[A, B], [-B, A]] when w = 2n.  Its second block row [-B | A] is the
-rotation of the key, the key of iX.  The width is chosen once per
-generator set and read from a key's length after that; it never
-changes an answer, because a real key is the block-row key of the same
-matrix with its zero B block dropped.
 """
 
 from __future__ import annotations
@@ -32,10 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import (Matrix, Scalar, _int_vector, _square_size, primitive,
-                    rank, rank_one_factor)
-
-Key = tuple[int, ...]
+from .exact import (Basis, Key, Matrix, Scalar, _projective_keys, _reduce,
+                    _rotation, _square_size, primitive, rank, rank_one_factor)
 
 
 @dataclass(frozen=True)
@@ -48,40 +34,6 @@ class Caps:
     def __post_init__(self):
         if self.max_elements < 1 or self.max_word_length < 1:
             raise ValueError("caps must be positive")
-
-
-def _projective_keys(ms: Sequence[Matrix]) -> list[Key]:
-    """The projective keys of a set of matrices, all of one width.
-
-    When every entry of every matrix is real, a key holds the real
-    parts A row major; otherwise it holds the block row [A | B], each
-    row of A followed by the same row of B.  Either is cleared of
-    denominators and divided by the positive gcd of its parts.  Two
-    matrices of one shape get the same key of one width exactly when
-    one is a positive rational multiple of the other.
-    """
-    real = all(not e.im for m in ms for e in m.entries)
-    keys = []
-    for m in ms:
-        if real:
-            parts = [e.re for e in m.entries]
-        else:
-            parts = []
-            for i in range(m.rows):
-                row = m.row(i)
-                parts += [e.re for e in row]
-                parts += [e.im for e in row]
-        keys.append(primitive(_int_vector(parts)))
-    return keys
-
-
-def _rotation(key: Key, n: int) -> Key:
-    """The key [-B | A] of iX, for the block-row key [A | B] of X."""
-    out: list[int] = []
-    for r in range(0, len(key), 2 * n):
-        out += [-x for x in key[r + n:r + 2 * n]]
-        out += key[r:r + n]
-    return tuple(out)
 
 
 KeyColumns = tuple[tuple[tuple[int, int], ...], ...]
@@ -149,27 +101,6 @@ def _canonical_from_key(key: Key, rows: int, cols: int,
                                            Fraction(part[1], top))
             flat.append(e)
     return Matrix(rows, cols, flat)
-
-
-Basis = list[tuple[int, Key]]  # (pivot part index, echelon row)
-
-
-def _reduce(basis: Basis, row: Key) -> tuple[int, Key]:
-    """Reduce a key row by an echelon basis of key rows.
-
-    A row is reduced by a basis row with pivot p as
-    ``p * row - x * basis_row``, where x is the row's entry in the pivot
-    column, then divided by the gcd of its parts.  Returns the part
-    index of the reduced row's first nonzero entry (-1 for a zero row)
-    and the row.
-    """
-    for lead, e in basis:
-        x = row[lead]
-        if x:
-            p = e[lead]
-            row = primitive([p * a - x * c for a, c in zip(row, e)])
-    lead = next((k for k, a in enumerate(row) if a), -1)
-    return lead, row
 
 
 def projective_canonical(m: Matrix) -> Matrix:
@@ -289,12 +220,11 @@ def algebra_dimension(gens: Sequence[Matrix]) -> int:
     basis element is a word and every right product of one lies in the
     span, so the span is closed under right multiplication by the
     generators; as it contains I, it contains every word.  Matrices
-    enter as projective keys of the generator set's width (a positive
-    scaling does not change a span) and elimination is fraction-free
-    over the integers.  At block-row width every row that enters brings
-    its rotation, the key of i times it, so the rational span of the
-    keys is the complex span of the matrices and has twice its
-    dimension.  The value is the same over any field extending the
+    enter as projective keys (a positive scaling does not change a
+    span) and grow an echelon basis.  At block-row width every row that
+    enters brings its rotation, the key of i times it, so the rational
+    span of the keys is the complex span of the matrices and has twice
+    its dimension.  The value is the same over any field extending the
     rationals because ranks of rational matrices do not change under
     field extension.
     """

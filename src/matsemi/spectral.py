@@ -55,7 +55,8 @@ def perron(m: Matrix, tol: float = 1e-9,
     eigenvalue estimate differs from it by enough to break that shared
     contract, both runs are retried at tighter internal tolerances.
     Raises NonConvergenceError if the contract cannot be met within
-    max_iters per run.
+    max_iters per run, and ValueError before iterating if an entry or a
+    row sum of A or A^T is not finite as a float.
     """
     # a NaN tolerance compares false with every residual and an infinite
     # one accepts any iterate, so both are refused with the rest
@@ -65,9 +66,15 @@ def perron(m: Matrix, tol: float = 1e-9,
         raise ValueError("max_iters must be at least 1")
     _check_nonnegative_square(m)
     n = m.rows
-    flat = [float(e.re) for e in m.entries]
+    try:
+        flat = [float(e.re) for e in m.entries]
+    except OverflowError:  # an entry beyond float range
+        flat = [math.inf] * (n * n)
     a = [flat[i:i + n] for i in range(0, n * n, n)]
     at = [flat[j::n] for j in range(n)]
+    # finite row sums of A and A^T bound every iterate of both runs
+    if not all(math.isfinite(sum(row)) for row in a + at):
+        raise ValueError("entries and row sums must be finite as floats")
     total = 0
     inner = tol
     residual = float("inf")

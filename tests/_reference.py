@@ -4,8 +4,10 @@ These are the straightforward rational versions.  For semigroups every
 product goes through ``matrix_product``, every canonical form through
 ``Matrix.scale``, spans are eliminated with ``Scalar`` division, and
 group closures are checked by inverting every member, and key products
-are the dense integer loop over every entry.  Theorem conclusions are
-tested on every closure member rather than on the generators.
+are the dense integer loop over every entry.  Ranks are checked
+against the integer real form [[A, -B], [B, A]], with its own sign
+convention and a separate lcm per row.  Theorem conclusions are tested
+on every closure member rather than on the generators.
 Diagonal similarity is decided on ``Scalar`` values: propagated along
 the support graph, reduced to signs when real, and verified by
 conjugating every matrix.
@@ -21,6 +23,7 @@ on float64 arrays and vectorised scans over chunks of masks.
 from __future__ import annotations
 
 import functools
+import math
 from collections import deque
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -186,6 +189,30 @@ def reference_key_product(a: Key, b: Key, n: int) -> Key:
             out.append(re)
             out.append(im)
     return primitive(out)
+
+
+def reference_real_form(m: Matrix) -> tuple[list[list[int]], list[int]]:
+    """Integer rows of the real form [[A, -B], [B, A]] of m = A + iB.
+
+    Rows i and m.rows + i come from row i of m and are both scaled by
+    L_i, the positive lcm of that row's denominators; returns the rows
+    and the L_i.  The real form is m acting on C^n = R^n + iR^n, so its
+    rank is twice the rank of m, and when m is invertible its inverse is
+    the real form of m^-1.
+    """
+    top: list[list[int]] = []
+    bottom: list[list[int]] = []
+    dens: list[int] = []
+    for i in range(m.rows):
+        row = m.row(i)
+        parts = [e.re for e in row] + [e.im for e in row]
+        den = math.lcm(*(x.denominator for x in parts))
+        ints = [x.numerator * (den // x.denominator) for x in parts]
+        re, im = ints[:m.cols], ints[m.cols:]
+        top.append(re + [-x for x in im])
+        bottom.append(im + re)
+        dens.append(den)
+    return top + bottom, dens
 
 
 # -- diagonal similarity ---------------------------------------------------

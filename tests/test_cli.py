@@ -120,6 +120,13 @@ def test_perron(paths, capsys):
     assert main(["perron", wide]) == 2
     assert "matrices must be square" in capsys.readouterr().err
 
+    # beyond float range: refused before iterating, no traceback
+    for name, entry in (("huge.json", 10 ** 400), ("big.json", 10 ** 308)):
+        big = paths(name, matrix_to_json(M([[entry, entry], [1, entry]])))
+        assert main(["perron", big]) == 2
+        err = capsys.readouterr().err
+        assert "must be finite" in err and "Traceback" not in err
+
 
 def test_verify_exit_codes(paths, capsys):
     g = paths("g.json", {"matrices": [matrix_to_json(

@@ -13,11 +13,12 @@ from matsemi import (Cone, Matrix, Scalar, algebra_dimension, canonical_ray,
                      subset_invariance_oracle, union_pattern,
                      verify_group_theorem, verify_semigroup_theorem)
 from matsemi import exact
-from matsemi.exact import (_real_form, int_gauss_jordan,
-                           int_independent_subset, int_inverse_columns,
-                           int_nullspace, int_rank, primitive)
+from matsemi.exact import (int_gauss_jordan, int_independent_subset,
+                           int_inverse_columns, int_nullspace, int_rank,
+                           primitive)
 from _fx import M, outer, random_int_matrix
-from _reference import _independent_subset, _nullspace, _rref
+from _reference import (_independent_subset, _nullspace, _rref,
+                        reference_real_form)
 
 
 def test_scalar_arithmetic():
@@ -45,6 +46,9 @@ def test_scalar_predicates():
     assert not Scalar(0)
     assert Scalar(-1).is_real and not Scalar(-1).is_nonneg_real
     assert bool(Scalar(0, 1))
+    # bool is not a rational value: never equal, and no TypeError
+    assert not Scalar(1) == True  # noqa: E712
+    assert Scalar(0) != False  # noqa: E712
 
 
 def test_scalar_rejects_floats():
@@ -185,14 +189,28 @@ def test_real_rank_matches_real_form(monkeypatch):
     half, third = Fraction(1, 2), Fraction(1, 3)
     cases += [M([[0, 0, 0], [half, third, 0], [1, Fraction(2, 3), 0]]),
               M([[0], [half], [third]]), M([[third, 0, 0, 0, half]])]
-    want = [int_rank(_real_form(m)[0]) // 2 for m in cases]
-    # a real matrix is eliminated as it is, never through its real form
-    monkeypatch.setattr(exact, "_real_form", None)
+    real = len(cases)
+    cases += [random_gaussian_matrix(rng, rng.randint(1, 5),
+                                     rng.randint(1, 5)) for _ in range(150)]
+    want = [int_rank(reference_real_form(m)[0]) // 2 for m in cases]
+    widths = []
+
+    def recording_int_rank(rows):
+        widths.append({len(r) for r in rows})
+        return int_rank(rows)
+
+    monkeypatch.setattr(exact, "int_rank", recording_int_rank)
     assert [rank(m) for m in cases] == want
-    assert {0, 1, 2}.issubset(want)
+    assert {0, 1, 2}.issubset(want[:real])
+    assert {1, 2, 3}.issubset(want[real:])
+    # a real matrix is eliminated in rows of cols parts, and a Gaussian
+    # one in rows of 2 * cols: its key rows and their rotations
+    gaussian = [any(e.im for e in m.entries) for m in cases]
+    assert gaussian.count(True) > 100
+    assert widths == [{m.cols * (1 + g)} for m, g in zip(cases, gaussian)]
 
 
-def test_inverse_round_trip():
+def test_inverse_round_trip(monkeypatch):
     rng = random.Random(303)
     found = 0
     while found < 30:
@@ -214,6 +232,23 @@ def test_inverse_round_trip():
         m = Matrix.from_rows([[z]])
         assert inverse(m) == Matrix.from_rows([[Scalar(1) / z]])
         assert matrix_product(m, inverse(m)) == Matrix.identity(1)
+    # a real matrix is inverted n wide, a Gaussian one 2n wide
+    widths = []
+    int_inverse_rows = exact._int_inverse_rows
+
+    def recording_inverse_rows(b):
+        widths.append({len(r) for r in b})
+        return int_inverse_rows(b)
+
+    monkeypatch.setattr(exact, "_int_inverse_rows", recording_inverse_rows)
+    third = Fraction(1, 3)
+    assert inverse(M([[2, 1, 0], [0, third, 1], [1, 0, 1]])) == M(
+        [[Fraction(1, 5), Fraction(-3, 5), Fraction(3, 5)],
+         [Fraction(3, 5), Fraction(6, 5), Fraction(-6, 5)],
+         [Fraction(-1, 5), Fraction(3, 5), Fraction(2, 5)]])
+    assert inverse(Matrix.from_rows([[Scalar(0, 2)]])) == Matrix.from_rows(
+        [[Scalar(0, Fraction(-1, 2))]])
+    assert widths == [{3}, {2}]
     with pytest.raises(ValueError):
         inverse(M([[1, 1], [1, 1]]))
     with pytest.raises(ValueError):

@@ -97,6 +97,15 @@ def test_perron_validation():
             perron(ones(2), tol=tol)
     with pytest.raises(ValueError):
         perron(ones(2), max_iters=0)
+    # an entry beyond float range, and row sums of A or A^T that
+    # overflow; the exact primitivity test still takes them
+    big = 10 ** 308
+    for m, prim in ((M([[10 ** 400, 1], [1, 1]]), True),
+                    (M([[big, big], [big, big]]), True),
+                    (M([[big, 0], [big, 0]]), False)):
+        with pytest.raises(ValueError, match="finite"):
+            perron(m)
+        assert is_primitive(m) == prim
 
 
 def test_perron_nonconvergence():
