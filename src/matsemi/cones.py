@@ -17,10 +17,11 @@ ambient rank.  Each step (dot products, the rank test,
 ``s_p r_q - s_q r_p`` and its gcd) is integer and commutes with
 positive scaling, so it finds the rays the rational computation finds;
 ``dual`` turns them back into canonical ``Fraction`` rays.
-``contains`` and ``is_invariant`` clear denominators by a positive lcm
-and compare integer dot products.
 
-Properness and extreme rays are read off the same cached dual, since
+Each cone's rays are cleared to primitive integer vectors once, in the
+cached entry that also holds its dual, and every operation reads that
+entry; query vectors and matrices are cleared by a positive lcm per
+call.  Properness and extreme rays are read off the cached dual, since
 the largest subspace inside K is the orthogonal complement of span K*
 (Schrijver, *Theory of Linear and Integer Programming*, ch. 8):
 
@@ -147,13 +148,12 @@ def _dd_insert(rays: list[IntVec], processed: list[IntVec], h: IntVec,
 
 
 @functools.lru_cache(maxsize=512)
-def _dual_ray_vectors(cone: Cone) -> tuple[IntVec, ...]:
-    """Primitive integer generators of the dual cone, distinct, sorted."""
+def _dual_ray_vectors(cone: Cone) -> tuple[tuple[IntVec, ...],
+                                            tuple[IntVec, ...]]:
+    """Primitive integer generators of the cone, in ray order, and of its
+    dual, distinct and sorted: the one integer form of the cone."""
     n = cone.dim
-    gens = [primitive(_int_vector(r.v)) for r in cone.rays]
-    if not gens:
-        axes = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-        return tuple(sorted(axes + [tuple(-x for x in e) for e in axes]))
+    gens = tuple(primitive(_int_vector(r.v)) for r in cone.rays)
     basis_idx = int_independent_subset(gens)
     d = len(basis_idx)
     w = [gens[i] for i in basis_idx]  # basis of the span of the generators
@@ -172,18 +172,19 @@ def _dual_ray_vectors(cone: Cone) -> tuple[IntVec, ...]:
     for ell in int_nullspace(gens, n):  # dual contains +- these directions
         out_vecs.add(ell)
         out_vecs.add(tuple(-x for x in ell))
-    return tuple(sorted(out_vecs))
+    return gens, tuple(sorted(out_vecs))
 
 
 def dual(k: Cone) -> Cone:
     """The dual cone {x : r.x >= 0 for every generator r of k}."""
-    return Cone.of(k.dim, _dual_ray_vectors(k))
+    return Cone.of(k.dim, _dual_ray_vectors(k)[1])
 
 
 def properness(k: Cone) -> PropernessReport:
-    solid = int_rank([_int_vector(r.v) for r in k.rays]) == k.dim
+    gens, duals = _dual_ray_vectors(k)
+    solid = int_rank(gens) == k.dim
     # K is pointed iff its dual is solid
-    pointed = int_rank(_dual_ray_vectors(k)) == k.dim
+    pointed = int_rank(duals) == k.dim
     return PropernessReport(is_pointed=pointed, is_solid=solid,
                             is_proper=pointed and solid)
 
@@ -194,15 +195,12 @@ def extreme_rays(k: Cone) -> tuple[Ray, ...]:
     A generator g is extreme iff the dual vectors vanishing on g have
     rank dim - 1; the +-lineality vectors of the dual vanish on every g.
     """
-    duals = _dual_ray_vectors(k)
+    gens, duals = _dual_ray_vectors(k)
     if int_rank(duals) != k.dim:
         raise ValueError("extreme rays are only defined for pointed cones")
-
-    def is_extreme(r: Ray) -> bool:
-        g = _int_vector(r.v)
-        return int_rank([c for c in duals if _dot(c, g) == 0]) == k.dim - 1
-
-    return tuple(r for r in k.rays if is_extreme(r))
+    return tuple(r for r, g in zip(k.rays, gens)
+                 if int_rank([c for c in duals if _dot(c, g) == 0])
+                 == k.dim - 1)
 
 
 def contains(k: Cone, v: Sequence[RationalLike]) -> bool:
@@ -211,7 +209,7 @@ def contains(k: Cone, v: Sequence[RationalLike]) -> bool:
     if len(w) != k.dim:
         raise ValueError("vector dimension does not match cone")
     iw = _int_vector(w)
-    return all(_dot(c, iw) >= 0 for c in _dual_ray_vectors(k))
+    return all(_dot(c, iw) >= 0 for c in _dual_ray_vectors(k)[1])
 
 
 def is_invariant(m: Matrix, k: Cone) -> bool:
@@ -220,12 +218,11 @@ def is_invariant(m: Matrix, k: Cone) -> bool:
         raise ValueError("matrix size does not match cone dimension")
     if any(not e.is_real for e in m.entries):
         raise ValueError("cone invariance is defined for real matrices")
-    duals = _dual_ray_vectors(k)
+    gens, duals = _dual_ray_vectors(k)
     n = k.dim
     flat = _int_vector([e.re for e in m.entries])
     rows = [flat[i * n:(i + 1) * n] for i in range(n)]
-    for r in k.rays:
-        g = _int_vector(r.v)
+    for g in gens:
         img = [_dot(row, g) for row in rows]
         if any(_dot(c, img) < 0 for c in duals):
             return False

@@ -139,7 +139,8 @@ class Scalar:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real Scalar equals its real part, so it must hash like it
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __repr__(self) -> str:
         if self.im == 0:
@@ -582,30 +583,18 @@ class EntryClassification:
 
 
 def classify_entries(m: Matrix) -> EntryClassification:
-    is_real = all(e.is_real for e in m.entries)
-    is_nonneg = all(e.is_nonneg_real for e in m.entries)
-    is_pos = all(e.is_positive_real for e in m.entries)
-    is_diag = all(not m.entry(i, j)
-                  for i in range(m.rows) for j in range(m.cols) if i != j)
-    # monomial: exactly one nonzero entry in every row and every column
-    is_monomial = m.is_square
-    if is_monomial:
-        for i in range(m.rows):
-            if sum(1 for e in m.row(i) if e) != 1:
-                is_monomial = False
-                break
-    if is_monomial:
-        for j in range(m.cols):
-            if sum(1 for e in m.col(j) if e) != 1:
-                is_monomial = False
-                break
-    ndiag = min(m.rows, m.cols)
-    has_nonneg_diag = all(m.entry(i, i).is_nonneg_real for i in range(ndiag))
+    nonzero = [divmod(k, m.cols) for k, e in enumerate(m.entries) if e]
+    rows = {i for i, _ in nonzero}
+    cols = {j for _, j in nonzero}
     return EntryClassification(
-        is_real=is_real,
-        is_nonnegative=is_nonneg,
-        is_positive=is_pos,
-        is_diagonal=is_diag,
-        is_monomial=is_monomial,
-        has_nonneg_diagonal=has_nonneg_diag,
+        is_real=all(e.is_real for e in m.entries),
+        is_nonnegative=all(e.is_nonneg_real for e in m.entries),
+        is_positive=all(e.is_positive_real for e in m.entries),
+        is_diagonal=all(i == j for i, j in nonzero),
+        # one nonzero in every row and every column: n nonzeros in n
+        # distinct rows and n distinct columns
+        is_monomial=(m.is_square
+                     and len(nonzero) == len(rows) == len(cols) == m.rows),
+        has_nonneg_diagonal=all(m.entry(i, i).is_nonneg_real
+                                for i in range(min(m.rows, m.cols))),
     )

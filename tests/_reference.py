@@ -15,7 +15,8 @@ For cones the dual is computed on canonical ``Fraction`` rays with
 ``Fraction`` Gauss-Jordan elimination and a ``Scalar`` ``inverse`` for
 the initial simplicial cone, and membership, properness and extreme
 rays are decided by an exact phase-1 simplex, independently of the
-dual.  They are slow and obviously correct.  The numeric kernels are
+dual.  Entry flags count the nonzeros of every row and every column.
+They are slow and obviously correct.  The numeric kernels are
 checked against the earlier numpy versions: a shifted power iteration
 on float64 arrays and vectorised scans over chunks of masks.
 """
@@ -28,10 +29,10 @@ from collections import deque
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from matsemi import (Caps, Cone, DiagonalWitness, Matrix, ProjectiveElement,
-                     PropernessReport, Ray, Scalar, SemigroupClosure,
-                     TheoremReport, canonical_ray, classify_entries,
-                     conjugate, generate_closure, rank,
+from matsemi import (Caps, Cone, DiagonalWitness, EntryClassification,
+                     Matrix, ProjectiveElement, PropernessReport, Ray, Scalar,
+                     SemigroupClosure, TheoremReport, canonical_ray,
+                     classify_entries, conjugate, generate_closure, rank,
                      simultaneous_diag_sim)
 from matsemi.cones import Vec
 from matsemi.exact import (ONE, _as_fraction, _int_vector, int_rank, inverse,
@@ -213,6 +214,37 @@ def reference_real_form(m: Matrix) -> tuple[list[list[int]], list[int]]:
         bottom.append(im + re)
         dens.append(den)
     return top + bottom, dens
+
+
+def reference_classify_entries(m: Matrix) -> EntryClassification:
+    """Entry flags by per-row and per-column counts of nonzeros."""
+    is_real = all(e.is_real for e in m.entries)
+    is_nonneg = all(e.is_nonneg_real for e in m.entries)
+    is_pos = all(e.is_positive_real for e in m.entries)
+    is_diag = all(not m.entry(i, j)
+                  for i in range(m.rows) for j in range(m.cols) if i != j)
+    # monomial: exactly one nonzero entry in every row and every column
+    is_monomial = m.is_square
+    if is_monomial:
+        for i in range(m.rows):
+            if sum(1 for e in m.row(i) if e) != 1:
+                is_monomial = False
+                break
+    if is_monomial:
+        for j in range(m.cols):
+            if sum(1 for e in m.col(j) if e) != 1:
+                is_monomial = False
+                break
+    ndiag = min(m.rows, m.cols)
+    has_nonneg_diag = all(m.entry(i, i).is_nonneg_real for i in range(ndiag))
+    return EntryClassification(
+        is_real=is_real,
+        is_nonnegative=is_nonneg,
+        is_positive=is_pos,
+        is_diagonal=is_diag,
+        is_monomial=is_monomial,
+        has_nonneg_diagonal=has_nonneg_diag,
+    )
 
 
 # -- diagonal similarity ---------------------------------------------------

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -346,3 +347,16 @@ def test_analyze_imports_only_what_it_runs(paths):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.rstrip().endswith("analyze-only-ok")
+
+
+def test_every_export_is_defined_where_the_table_says():
+    """A stale entry in ``matsemi._EXPORTS`` fails here, not in a caller."""
+    listed = [n for names in matsemi._EXPORTS.values() for n in names]
+    assert matsemi.__all__ == sorted(set(listed))
+    assert len(listed) == len(set(listed))
+    for name in matsemi.__all__:
+        module = importlib.import_module(
+            f"matsemi.{matsemi._SOURCES[name]}")
+        obj = getattr(matsemi, name)
+        assert obj is getattr(module, name)
+        assert obj.__module__ == module.__name__, name

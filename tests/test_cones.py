@@ -7,6 +7,7 @@ import pytest
 from matsemi import (Cone, Matrix, Ray, canonical_ray, contains, dual,
                      extreme_rays, is_invariant, properness)
 from matsemi import cones
+from matsemi.exact import _int_vector, primitive
 from _fx import M, ones
 from _reference import (_nonneg_combination, reference_contains,
                         reference_dual_ray_vectors, reference_extreme_rays,
@@ -219,7 +220,8 @@ def test_integer_dual_matches_fraction_reference():
         k = random_rational_cone(rng, n)
         ref = reference_dual_ray_vectors(k)
         assert [r.v for r in dual(k).rays] == list(ref)
-        ints = cones._dual_ray_vectors(k)
+        gens, ints = cones._dual_ray_vectors(k)
+        assert gens == tuple(primitive(_int_vector(r.v)) for r in k.rays)
         assert len(set(ints)) == len(ints) == len(ref)
         assert all(math.gcd(*c) == 1 for c in ints)
         seen["empty"] += not k.rays
@@ -298,7 +300,15 @@ def test_dual_cache_contract():
              (lambda: is_invariant(M([[0, 0], [0, 0]]), k), (1, 0)),
              (lambda: is_invariant(M([[1, -1], [0, 0]]), k), (1, 0)),
              (lambda: is_invariant(ones(2), empty), (0, 1)),
-             (lambda: contains(empty, (0, 0)), (1, 0))]
+             (lambda: contains(empty, (0, 0)), (1, 0)),
+             (lambda: properness(k), (1, 0)),
+             (lambda: extreme_rays(k), (1, 0)),
+             (lambda: dual(k), (1, 0)),
+             (lambda: properness(Cone.of(2, [[1, 0]])), (0, 1)),
+             (lambda: extreme_rays(Cone.of(2, [[0, 1], [1, 2]])), (0, 1)),
+             (lambda: dual(Cone.of(3, [[1, 0, 0]])), (0, 1)),
+             (lambda: properness(empty), (1, 0)),
+             (lambda: dual(empty), (1, 0))]
     for call, (dh, dm) in calls:
         h0, m0 = lookups()
         call()

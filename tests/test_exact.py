@@ -18,7 +18,7 @@ from matsemi.exact import (int_gauss_jordan, int_independent_subset,
                            primitive)
 from _fx import M, outer, random_int_matrix
 from _reference import (_independent_subset, _nullspace, _rref,
-                        reference_real_form)
+                        reference_classify_entries, reference_real_form)
 
 
 def test_scalar_arithmetic():
@@ -49,6 +49,20 @@ def test_scalar_predicates():
     # bool is not a rational value: never equal, and no TypeError
     assert not Scalar(1) == True  # noqa: E712
     assert Scalar(0) != False  # noqa: E712
+
+
+def test_scalar_hash_agrees_with_equality():
+    # a real Scalar equals its real part, so it must hash like it
+    assert 1 in {Scalar(1)}
+    assert Scalar(1) in {1}
+    assert len({Scalar(1), 1, Fraction(1)}) == 1
+    assert hash(Scalar(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert {Scalar(0): "zero"}[0] == "zero"
+    # Gaussian values are still found, and not confused with their parts
+    z = Scalar(Fraction(1, 2), -3)
+    assert z in {Scalar(Fraction(1, 2), -3)}
+    assert Fraction(1, 2) not in {z}
+    assert len({z, Scalar(Fraction(1, 2), -3), z.conjugate()}) == 2
 
 
 def test_scalar_rejects_floats():
@@ -297,6 +311,49 @@ def test_classify_entries():
 
     c = classify_entries(M([[1, 2], [3, 4]]))
     assert c.is_positive and not c.is_monomial
+
+
+def test_classify_entries_matches_reference():
+    rng = random.Random(98)
+    seen = {"rectangular": 0, "zero": 0, "gaussian": 0, "one_row": 0,
+            "monomial": 0, "diagonal": 0}
+    for _ in range(2500):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        kind = rng.randrange(5)
+        if kind == 0:
+            m = Matrix.zeros(rows, cols)
+        elif kind == 1:  # a signed, scaled permutation, perhaps with a hole
+            n = rows
+            perm = rng.sample(range(n), n)
+            entries = [[0] * n for _ in range(n)]
+            for i, j in enumerate(perm):
+                entries[i][j] = rng.choice((-2, -1, Fraction(1, 3), 1, 3))
+            if rng.random() < 0.2:
+                entries[rng.randrange(n)][rng.randrange(n)] = 0
+            m = M(entries)
+        elif kind == 2:  # n nonzeros, all in one row
+            n = rows
+            entries = [[0] * n for _ in range(n)]
+            entries[rng.randrange(n)] = [rng.choice((-1, 1, 2))
+                                         for _ in range(n)]
+            m = M(entries)
+        else:
+            density = rng.random()
+            gaussian = kind == 3
+            m = Matrix.from_rows(
+                [[Scalar(rng.randint(-2, 2),
+                         rng.randint(-1, 1) if gaussian else 0)
+                  if rng.random() < density else Scalar(0)
+                  for _ in range(cols)] for _ in range(rows)])
+        got = classify_entries(m)
+        assert got == reference_classify_entries(m)
+        seen["rectangular"] += not m.is_square
+        seen["zero"] += m.is_zero()
+        seen["gaussian"] += not got.is_real
+        seen["one_row"] += kind == 2 and m.rows > 1
+        seen["monomial"] += got.is_monomial
+        seen["diagonal"] += got.is_diagonal and not m.is_zero()
+    assert min(seen.values()) >= 100
 
 
 def test_matrix_scale_and_sums():
