@@ -18,8 +18,7 @@ _EXPORTS = {
     "diagsim": ("DiagonalWitness", "SignDiagonal", "conjugate",
                 "diag_sim_nonneg", "simultaneous_diag_sim"),
     "exact": ("EntryClassification", "Matrix", "Scalar", "classify_entries",
-              "inverse", "matrix_product", "matrix_vector", "rank",
-              "rank_one_factor"),
+              "inverse", "matrix_product", "rank", "rank_one_factor"),
     "harness": ("FixtureSummary", "SubsetReport", "TheoremReport",
                 "plant_group_instance", "plant_semigroup_instance",
                 "run_fixtures", "sign_search_oracle",

@@ -3,7 +3,8 @@
 Every structural decision made by this package (zero tests, sign tests,
 rank computations) reduces to exact comparisons of ``fractions.Fraction``
 values.  Nothing in this module rounds; the floating-point world is
-confined to :mod:`matsemi.spectral`.
+confined to :mod:`matsemi.spectral` and the float routines it calls in
+:mod:`matsemi._kernels` (``power_iteration`` and ``residual``).
 
 This is the only module that turns matrices into integers and
 eliminates them, with one fraction-free step (``_clear``) that keeps
@@ -125,9 +126,6 @@ class Scalar:
     @property
     def is_positive_real(self) -> bool:
         return self.im == 0 and self.re > 0
-
-    def max_abs_part(self) -> Fraction:
-        return max(abs(self.re), abs(self.im))
 
     # -- plumbing ------------------------------------------------------
 
@@ -283,19 +281,6 @@ def matrix_product(a: Matrix, b: Matrix) -> Matrix:
                     s = s + aik * brows[k][j]
             flat.append(s)
     return Matrix(a.rows, b.cols, flat)
-
-
-def matrix_vector(m: Matrix, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    if len(v) != m.cols:
-        raise ValueError("dimension mismatch in matrix-vector product")
-    out = []
-    for i in range(m.rows):
-        s = ZERO
-        for j, x in enumerate(m.row(i)):
-            if x:
-                s = s + x * v[j]
-        out.append(s)
-    return tuple(out)
 
 
 def _square_size(ms: Sequence[Matrix]) -> int:

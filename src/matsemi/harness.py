@@ -651,10 +651,6 @@ _FIXTURES: tuple[tuple[str, Callable[[_Recorder], None]], ...] = (
 )
 
 
-def fixture_names() -> tuple[str, ...]:
-    return tuple(name for name, _ in _FIXTURES)
-
-
 def run_fixtures(name_filter: Optional[str] = None) -> FixtureSummary:
     """Run the worked examples and report each expectation.
 

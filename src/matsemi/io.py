@@ -17,7 +17,7 @@ from .exact import Matrix, Scalar, _as_fraction
 if TYPE_CHECKING:
     from .cones import Cone
     from .diagsim import DiagonalWitness
-    from .semigroup import SemigroupClosure, XYFactorization
+    from .semigroup import SemigroupClosure
 
 
 def _fraction_from_json(x: Any) -> Fraction:
@@ -160,16 +160,6 @@ def closure_to_json(c: SemigroupClosure, include_matrices: bool = True) -> dict:
         "truncated": c.truncated,
         "caps": dataclasses.asdict(c.caps),
         "elements": elements,
-    }
-
-
-def xy_to_json(f: XYFactorization) -> dict:
-    return {
-        "x_vectors": [[scalar_to_json(e) for e in v] for v in f.x_vectors],
-        "y_vectors": [[scalar_to_json(e) for e in v] for v in f.y_vectors],
-        "pairing": [list(p) for p in f.pairing],
-        "x_spans": f.x_spans,
-        "y_spans": f.y_spans,
     }
 
 

@@ -140,9 +140,6 @@ class SemigroupClosure:
     def canonical_matrices(self) -> tuple[Matrix, ...]:
         return tuple(e.canonical for e in self.elements)
 
-    def contains_matrix(self, m: Matrix) -> bool:
-        return projective_canonical(m) in self.canonical_matrices()
-
 
 @dataclass(frozen=True)
 class XYFactorization:

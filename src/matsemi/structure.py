@@ -3,14 +3,16 @@
 A square matrix is decomposable when some simultaneous row/column
 permutation puts it into block upper triangular form; equivalently, when
 its pattern digraph has more than one strongly connected component.
+Components are read off one reachability closure (Warshall, "A theorem
+on Boolean matrices", J. ACM 9, 1962), kept as one integer bitmask per
+vertex: a component is a set of vertices that reach each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-import heapq
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .exact import Matrix, _square_size
 
@@ -54,85 +56,44 @@ def union_pattern(ms: Sequence[Matrix]) -> PatternDigraph:
         divmod(k, n) for m in ms for k, e in enumerate(m.entries) if e))
 
 
-def _strongly_connected_components(n: int,
-                                   adj: list[list[int]]) -> list[list[int]]:
-    """Iterative Tarjan.  Components returned with vertices sorted."""
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            deeper = False
-            for k in range(pi, len(adj[v])):
-                w = adj[v][k]
-                if index[w] == -1:
-                    work.append((v, k + 1))
-                    work.append((w, 0))
-                    deeper = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if deeper:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return sccs
-
-
 def scc_condensation(g: PatternDigraph) -> DecompositionReport:
     """Components in a topological order of the condensation.
 
-    The order is the unique one produced by Kahn's algorithm with ties
-    broken by the smallest vertex contained in a component, so reports
-    are reproducible.  The permutation concatenates the components; it
+    ``reach[v]`` holds the vertices v reaches, v included, closed by
+    Warshall's rule: whoever reaches k reaches all that k reaches.  The
+    component of v is ``reach[v]`` met with the vertices that reach v.
+    Each step places the first remaining component, by smallest vertex,
+    that no other remaining component reaches, so reports are
+    reproducible.  The permutation concatenates the components; it
     relabels vertices so that the matrix becomes block upper triangular
     (position p holds old vertex permutation[p]).
     """
-    comps = _strongly_connected_components(g.n, g.adjacency())
-    comp_id = [0] * g.n
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_id[v] = ci
-    succ: list[set[int]] = [set() for _ in comps]
-    indeg = [0] * len(comps)
+    n = g.n
+    bit = [1 << v for v in range(n)]
+    reach = bit[:]
     for i, j in g.edges:
-        a, b = comp_id[i], comp_id[j]
-        if a != b and b not in succ[a]:
-            succ[a].add(b)
-            indeg[b] += 1
-    heap = [(comps[ci][0], ci) for ci in range(len(comps)) if indeg[ci] == 0]
-    heapq.heapify(heap)
-    ordered: list[int] = []
-    while heap:
-        _, ci = heapq.heappop(heap)
-        ordered.append(ci)
-        for cj in succ[ci]:
-            indeg[cj] -= 1
-            if indeg[cj] == 0:
-                heapq.heappush(heap, (comps[cj][0], cj))
-    sccs = tuple(tuple(comps[ci]) for ci in ordered)
+        reach[i] |= bit[j]
+    for k in range(n):
+        rk = reach[k]
+        reach = [r | rk if r >> k & 1 else r for r in reach]
+    # (bitmask, vertices that reach it, sorted vertices), by smallest vertex
+    comps = []
+    remaining = 0  # every vertex once the loop ends
+    for v in range(n):
+        if not remaining >> v & 1:
+            back = sum(1 << u for u in range(n) if reach[u] >> v & 1)
+            mask = reach[v] & back
+            remaining |= mask
+            comps.append((mask, back,
+                          tuple(u for u in range(n) if mask >> u & 1)))
+    ordered = []
+    while comps:
+        k = next(k for k, (mask, back, _) in enumerate(comps)
+                 if back & remaining == mask)
+        mask, _, comp = comps.pop(k)
+        remaining ^= mask
+        ordered.append(comp)
+    sccs = tuple(ordered)
     count = len(sccs)
     if count == 1:
         kind = DecompositionKind.INDECOMPOSABLE

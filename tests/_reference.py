@@ -10,7 +10,8 @@ convention and a separate lcm per row.  Theorem conclusions are tested
 on every closure member rather than on the generators.
 Diagonal similarity is decided on ``Scalar`` values: propagated along
 the support graph, reduced to signs when real, and verified by
-conjugating every matrix.
+conjugating every matrix.  Strongly connected components come from an
+iterative Tarjan search and are ordered by Kahn's algorithm on a heap.
 For cones the dual is computed on canonical ``Fraction`` rays with
 ``Fraction`` Gauss-Jordan elimination and a ``Scalar`` ``inverse`` for
 the initial simplicial cone, and membership, properness and extreme
@@ -24,15 +25,18 @@ on float64 arrays and vectorised scans over chunks of masks.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from collections import deque
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from matsemi import (Caps, Cone, DiagonalWitness, EntryClassification,
-                     Matrix, ProjectiveElement, PropernessReport, Ray, Scalar,
-                     SemigroupClosure, TheoremReport, canonical_ray,
-                     classify_entries, conjugate, generate_closure, rank,
+from matsemi import (Caps, Cone, DecompositionKind, DecompositionReport,
+                     DiagonalWitness, EntryClassification, Matrix,
+                     PatternDigraph, ProjectiveElement, PropernessReport,
+                     Ray, Scalar, SemigroupClosure, TheoremReport,
+                     canonical_ray, classify_entries, conjugate,
+                     generate_closure, projective_canonical, rank,
                      simultaneous_diag_sim)
 from matsemi.cones import Vec
 from matsemi.exact import (ONE, _as_fraction, _int_vector, int_rank, inverse,
@@ -44,7 +48,7 @@ def reference_canonical(m: Matrix) -> Matrix:
     """Scale by a positive rational so max(|re|, |im|) over entries is 1."""
     scale = Fraction(0)
     for e in m.entries:
-        scale = max(scale, e.max_abs_part())
+        scale = max(scale, abs(e.re), abs(e.im))
     if scale == 0:
         return m
     return m.scale(Scalar(1 / scale))
@@ -53,7 +57,7 @@ def reference_canonical(m: Matrix) -> Matrix:
 def _canonical_vector(v: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
     scale = Fraction(0)
     for e in v:
-        scale = max(scale, e.max_abs_part())
+        scale = max(scale, abs(e.re), abs(e.im))
     if scale == 0:
         return v
     s = Scalar(1 / scale)
@@ -133,9 +137,10 @@ def reference_group_info(gens, caps: Caps = Caps()) -> tuple[bool, bool]:
     closure = generate_closure(gens, caps)
     if closure.truncated:
         return True, False
-    for e in closure.elements:
+    members = closure.canonical_matrices()
+    for m in members:
         # members are products of invertible generators, so inversion succeeds
-        if not closure.contains_matrix(inverse(e.canonical)):
+        if projective_canonical(inverse(m)) not in members:
             return True, False
     return True, True
 
@@ -347,6 +352,99 @@ def reference_simultaneous_diag_sim(
         if not all(x.is_nonneg_real for x in reference_conjugate(w, m).entries):
             return None
     return w
+
+
+# -- strongly connected components ----------------------------------------
+
+
+def _tarjan_sccs(n: int, adj: list[list[int]]) -> list[list[int]]:
+    """Iterative Tarjan.  Components returned with vertices sorted."""
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    sccs: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work: list[tuple[int, int]] = [(root, 0)]
+        while work:
+            v, pi = work.pop()
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            deeper = False
+            for k in range(pi, len(adj[v])):
+                w = adj[v][k]
+                if index[w] == -1:
+                    work.append((v, k + 1))
+                    work.append((w, 0))
+                    deeper = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if deeper:
+                continue
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(sorted(comp))
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+    return sccs
+
+
+def reference_scc_condensation(g: PatternDigraph) -> DecompositionReport:
+    """Components in a topological order of the condensation.
+
+    The order is the unique one produced by Kahn's algorithm with ties
+    broken by the smallest vertex contained in a component, so reports
+    are reproducible.  The permutation concatenates the components; it
+    relabels vertices so that the matrix becomes block upper triangular
+    (position p holds old vertex permutation[p]).
+    """
+    comps = _tarjan_sccs(g.n, g.adjacency())
+    comp_id = [0] * g.n
+    for ci, comp in enumerate(comps):
+        for v in comp:
+            comp_id[v] = ci
+    succ: list[set[int]] = [set() for _ in comps]
+    indeg = [0] * len(comps)
+    for i, j in g.edges:
+        a, b = comp_id[i], comp_id[j]
+        if a != b and b not in succ[a]:
+            succ[a].add(b)
+            indeg[b] += 1
+    heap = [(comps[ci][0], ci) for ci in range(len(comps)) if indeg[ci] == 0]
+    heapq.heapify(heap)
+    ordered: list[int] = []
+    while heap:
+        _, ci = heapq.heappop(heap)
+        ordered.append(ci)
+        for cj in succ[ci]:
+            indeg[cj] -= 1
+            if indeg[cj] == 0:
+                heapq.heappush(heap, (comps[cj][0], cj))
+    sccs = tuple(tuple(comps[ci]) for ci in ordered)
+    count = len(sccs)
+    if count == 1:
+        kind = DecompositionKind.INDECOMPOSABLE
+    elif count == 2:
+        kind = DecompositionKind.ONE_DECOMPOSABLE
+    else:
+        kind = DecompositionKind.MULTI_DECOMPOSABLE
+    permutation = tuple(v for comp in sccs for v in comp)
+    return DecompositionReport(kind=kind, scc_count=count, sccs=sccs,
+                               permutation=permutation)
 
 
 # -- cones -----------------------------------------------------------------

@@ -7,8 +7,8 @@ import pytest
 from matsemi import (Cone, Matrix, Scalar, algebra_dimension, canonical_ray,
                      classify_entries, classify_decomposability,
                      generate_closure, inverse, is_irreducible,
-                     matrix_product, matrix_vector, pattern_digraph, perron,
-                     rank, rank_one_factor, sign_search_oracle,
+                     matrix_product, pattern_digraph, perron, rank,
+                     rank_one_factor, sign_search_oracle,
                      simultaneous_diag_sim, spectral,
                      subset_invariance_oracle, union_pattern,
                      verify_group_theorem, verify_semigroup_theorem)
@@ -123,11 +123,6 @@ def test_matrix_product_random_agrees_with_float():
         for i in range(r):
             for j in range(c):
                 assert got.entry(i, j) == Scalar(int(want[i, j]))
-
-
-def test_matrix_vector():
-    m = M([[1, -1], [0, 2]])
-    assert matrix_vector(m, (Scalar(3), Scalar(1))) == (Scalar(2), Scalar(2))
 
 
 def test_rank_examples():

@@ -6,8 +6,8 @@ import pytest
 from matsemi import (Caps, DecompositionKind, DiagonalWitness, Matrix, Scalar,
                      classify_decomposability, classify_entries, conjugate,
                      diag_sim_nonneg, generate_closure)
-from matsemi.harness import (MAX_SIGN_SEARCH_N, MAX_SUBSET_SEARCH_N,
-                             HypothesisCheck, _report, fixture_names,
+from matsemi.harness import (_FIXTURES, MAX_SIGN_SEARCH_N,
+                             MAX_SUBSET_SEARCH_N, HypothesisCheck, _report,
                              plant_group_instance, plant_semigroup_instance,
                              run_fixtures, sign_search_oracle,
                              subset_invariance_oracle, verify_group_theorem,
@@ -375,7 +375,8 @@ def test_all_fixtures_pass():
     summary = run_fixtures()
     assert summary.all_passed, summary.failed
     assert len(summary.results) >= 40
-    assert set(r.fixture for r in summary.results) == set(fixture_names())
+    assert set(r.fixture for r in summary.results) == \
+        {name for name, _ in _FIXTURES}
 
 
 def test_fixture_filter():

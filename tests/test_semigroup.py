@@ -54,10 +54,12 @@ def test_closure_of_cyclic_generator():
     assert cl.elements[1].word == (0, 0)
     assert cl.elements[2].word == (0, 0, 0)
     assert cl.elements[2].canonical == Matrix.identity(3)
-    assert cl.contains_matrix(C3.scale(7))
-    assert cl.contains_matrix(Matrix.identity(3))
-    assert not cl.contains_matrix(ones(3))
-    assert not cl.contains_matrix(C3.scale(-1))  # scaling is positive only
+    members = cl.canonical_matrices()
+    assert projective_canonical(C3.scale(7)) in members
+    assert projective_canonical(Matrix.identity(3)) in members
+    assert projective_canonical(ones(3)) not in members
+    # scaling is positive only
+    assert projective_canonical(C3.scale(-1)) not in members
 
 
 def test_closure_earliest_word_wins():
@@ -253,8 +255,9 @@ def test_closure_matches_fraction_reference(gaussian, mixed):
         assert got.canonical_matrices() == want.canonical_matrices()
         assert got.truncated == want.truncated
         for m in gens:
-            assert got.contains_matrix(m.scale(3)) == \
-                want.contains_matrix(m.scale(3))
+            c = projective_canonical(m.scale(3))
+            assert (c in got.canonical_matrices()) == \
+                (c in want.canonical_matrices())
         if not got.truncated:
             hit["complete"] += 1
         elif len(got.elements) == caps.max_elements:
@@ -344,18 +347,14 @@ def test_projective_canonical_matches_reference():
         assert projective_canonical(m) == reference_canonical(m)
 
 
-def test_contains_matrix_checks_shape():
-    cl = generate_closure([Matrix.identity(2)])
-    assert not cl.contains_matrix(M([[1, 0, 0, 1]]))
-
-
-def test_contains_matrix_gaussian_closure():
+def test_gaussian_closure_members():
     # i*I generates the four classes i*I, -I, -i*I and I
     cl = generate_closure([Matrix.diagonal([Scalar(0, 1)] * 2)])
     assert not cl.truncated and len(cl.elements) == 4
-    assert cl.contains_matrix(Matrix.identity(2).scale(-3))
-    assert cl.contains_matrix(Matrix.identity(2))
-    assert not cl.contains_matrix(Matrix.diagonal([1, -1]))
+    members = cl.canonical_matrices()
+    assert projective_canonical(Matrix.identity(2).scale(-3)) in members
+    assert projective_canonical(Matrix.identity(2)) in members
+    assert projective_canonical(Matrix.diagonal([1, -1])) not in members
 
 
 def test_algebra_dimension_is_complex_linear():

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from matsemi import (DecompositionKind, classify_decomposability,
-                     pattern_digraph, scc_condensation, union_pattern)
-from matsemi.structure import _strongly_connected_components
+from matsemi import (DecompositionKind, PatternDigraph,
+                     classify_decomposability, pattern_digraph,
+                     scc_condensation, union_pattern)
 from _fx import M, ones, random_pattern
+from _reference import reference_scc_condensation
 
 
 def brute_sccs(n, edges):
@@ -68,9 +69,62 @@ def test_sccs_match_brute_force_on_random_digraphs():
         n = rng.randint(1, 6)
         m = random_pattern(rng, n, rng.choice((0.2, 0.4, 0.6)))
         g = pattern_digraph(m)
-        got = sorted(_strongly_connected_components(n, g.adjacency()))
-        got = [tuple(c) for c in got]
-        assert got == brute_sccs(n, g.edges)
+        assert sorted(scc_condensation(g).sccs) == brute_sccs(n, g.edges)
+
+
+def _random_digraph(rng, n, shape):
+    """A seeded digraph of one shape, under a random relabelling."""
+    p = {"dense": 0.5, "sparse": 1.5 / n, "dag": 0.4, "loops": 0.3,
+         "empty": 0, "isolated": 0.5}[shape]
+    live = range(n) if shape != "isolated" else range(rng.randint(0, n))
+    edges = {(i, j) for i in live for j in live
+             if (shape != "dag" or i < j) and rng.random() < p}
+    if shape == "loops":
+        edges |= {(i, i) for i in range(n) if rng.random() < 0.5}
+    label = list(range(n))
+    rng.shuffle(label)
+    return PatternDigraph(n, frozenset((label[i], label[j])
+                                       for i, j in edges))
+
+
+_SHAPES = ("dense", "sparse", "dag", "loops", "empty", "isolated")
+
+
+@pytest.mark.parametrize("seed, count, lo, hi", [
+    (2121, 20000, 1, 10),
+    (2122, 240, 20, 60),
+])
+def test_condensation_matches_reference_on_seeded_digraphs(seed, count,
+                                                           lo, hi):
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randint(lo, hi)
+        g = _random_digraph(rng, n, _SHAPES[k % len(_SHAPES)])
+        assert scc_condensation(g) == reference_scc_condensation(g), g
+
+
+def test_condensation_small_cases():
+    single = PatternDigraph(1, frozenset())
+    assert scc_condensation(single).sccs == ((0,),)
+    loop = PatternDigraph(1, frozenset({(0, 0)}))
+    assert scc_condensation(loop) == scc_condensation(single)
+    # no edges: singletons in vertex order
+    rep = scc_condensation(PatternDigraph(4, frozenset()))
+    assert rep.sccs == ((0,), (1,), (2,), (3,))
+    assert rep.permutation == (0, 1, 2, 3)
+    # the chain 3 -> 2 -> 1 -> 0 runs against vertex order
+    rep = scc_condensation(PatternDigraph(4, frozenset({(3, 2), (2, 1),
+                                                        (1, 0)})))
+    assert rep.sccs == ((3,), (2,), (1,), (0,))
+    # cycle {1, 3} feeding 0, beside the isolated vertex 2
+    rep = scc_condensation(PatternDigraph(4, frozenset({(1, 3), (3, 1),
+                                                        (3, 0)})))
+    assert rep.sccs == ((1, 3), (0,), (2,))
+    assert rep.kind == DecompositionKind.MULTI_DECOMPOSABLE
+    # an edge leaving the vertex range is refused, not dropped
+    for edge in ((0, 5), (5, 0)):
+        with pytest.raises(IndexError):
+            scc_condensation(PatternDigraph(2, frozenset({edge})))
 
 
 def test_condensation_is_topological_and_permutation_triangularizes():
