@@ -56,9 +56,6 @@ class DiagonalWitness:
         if any(not x for x in self.d):
             raise ValueError("diagonal entries must be nonzero")
 
-    def matrix(self) -> Matrix:
-        return Matrix.diagonal(self.d)
-
     def signs(self) -> Optional[SignDiagonal]:
         """The +-1 sign pattern, if every entry is real.  None otherwise."""
         if any(not x.is_real for x in self.d):

@@ -7,11 +7,12 @@ confined to :mod:`matsemi.spectral` and the float routines it calls in
 :mod:`matsemi._kernels` (``power_iteration`` and ``residual``).
 
 This is the only module that turns matrices into integers and
-eliminates them, with one fraction-free step (``_clear``) that keeps
-every row a primitive integer vector.  Rank and independence questions
-grow an echelon basis with it; Gauss-Jordan elimination serves null
-spaces and inverses.  Where only rays matter, callers clear
-denominators and use the core directly.
+eliminates them, in one loop: each row is cleared at the pivots of an
+echelon basis with one fraction-free step (``_clear``) that keeps it a
+primitive integer vector, and enters the basis unless it is zero.  Null
+spaces and inverses also clear each basis row at the later pivots.
+Where only rays matter, callers clear denominators and use the core
+directly.
 
 Matrices enter the core as projective keys: their parts cleared of
 denominators and divided by their positive gcd.  A matrix A + iB is
@@ -326,65 +327,49 @@ def _clear(row: Sequence[int], prow: Sequence[int], c: int) -> Key:
     return primitive([fa * x - fb * y for x, y in zip(row, prow)])
 
 
-def int_gauss_jordan(
-        rows: Sequence[Sequence[int]]
-) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination over integer rows.
-
-    Returns (rows, pivots).  For i < len(pivots), row i has a nonzero
-    entry D_i at column pivots[i] and zeros in every other pivot column,
-    so it is D_i times row i of the rational reduced row echelon form;
-    the rows after those are zero.  Each update clears one entry with
-    ``_clear``, so entries stay integers and every row stays primitive.
-    D_i may be negative: callers dividing by it must keep its sign.
-    """
-    work = [primitive(r) for r in rows]
-    pivots: list[int] = []
-    nrows = len(work)
-    ncols = len(work[0]) if work else 0
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        p = next((i for i in range(r, nrows) if work[i][c]), None)
-        if p is None:
-            continue
-        work[r], work[p] = work[p], work[r]
-        prow = work[r]
-        for i in range(nrows):
-            if i != r and work[i][c]:
-                work[i] = _clear(work[i], prow, c)
-        pivots.append(c)
-        r += 1
-    return work, pivots
-
-
 Basis = list[tuple[int, Key]]  # (pivot part index, echelon row)
 
 
-def _reduce(basis: Basis, row: Sequence[int]) -> tuple[int, Key]:
+def _insert(basis: Basis, row: Sequence[int]) -> bool:
     """Clear an integer row at the pivots of an echelon basis, in order.
 
-    Returns the part index of the reduced row's first nonzero entry (-1
-    when the row lies in the span of the basis) and the row.
+    Unless the row then lies in the span of the basis, appends it with
+    the part index of its first nonzero entry as its pivot.  Returns
+    whether it was appended.
     """
     for lead, e in basis:
         if row[lead]:
             row = _clear(row, e, lead)
     lead = next((k for k, a in enumerate(row) if a), -1)
-    return lead, tuple(row)
+    if lead < 0:
+        return False
+    basis.append((lead, tuple(row)))
+    return True
+
+
+def _reduced_basis(rows: Sequence[Sequence[int]]) -> Basis:
+    """The echelon basis of the primitive rows, reduced and sorted.
+
+    A row is zero at the pivots of the rows inserted before it, so one
+    pass clearing each row at the later pivots leaves it zero at every
+    pivot but its own: row i is D_i times row i of the rational reduced
+    row echelon form.  D_i may be negative; callers must keep its sign.
+    """
+    basis: Basis = []
+    for r in rows:
+        _insert(basis, primitive(r))
+    for i, (lead, e) in enumerate(basis):
+        for later, f in basis[i + 1:]:
+            if e[later]:
+                e = _clear(e, f, later)
+        basis[i] = lead, e
+    return sorted(basis)
 
 
 def int_independent_subset(vecs: Sequence[Sequence[int]]) -> list[int]:
     """Indices of the vectors outside the span of the earlier ones."""
     basis: Basis = []
-    picked: list[int] = []
-    for i, v in enumerate(vecs):
-        lead, v = _reduce(basis, v)
-        if lead >= 0:
-            basis.append((lead, v))
-            picked.append(i)
-    return picked
+    return [i for i, v in enumerate(vecs) if _insert(basis, v)]
 
 
 def int_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -400,17 +385,17 @@ def int_nullspace(rows: Sequence[Sequence[int]],
     basis vector (1 at f, minus the reduced column at the pivots)
     times the positive lcm L of the |D_i|, then made primitive.
     """
-    red, pivots = int_gauss_jordan(rows)
-    den = math.lcm(*(abs(red[i][p]) for i, p in enumerate(pivots)))
-    pivset = set(pivots)
+    red = _reduced_basis(rows)
+    den = math.lcm(*(abs(e[p]) for p, e in red))
+    pivots = {p for p, _ in red}
     basis: list[tuple[int, ...]] = []
     for f in range(n):
-        if f in pivset:
+        if f in pivots:
             continue
         v = [0] * n
         v[f] = den
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f] * (den // red[i][p])
+        for p, e in red:
+            v[p] = -e[f] * (den // e[p])
         basis.append(primitive(v))
     return basis
 
@@ -428,12 +413,11 @@ def _int_inverse_rows(b: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     be negative.  Raises ValueError if b is singular.
     """
     n = len(b)
-    red, pivots = int_gauss_jordan(
-        [list(row) + [int(i == j) for j in range(n)]
-         for i, row in enumerate(b)])
-    if pivots and pivots[-1] >= n:
+    red = _reduced_basis([list(row) + [int(i == j) for j in range(n)]
+                          for i, row in enumerate(b)])
+    if red and red[-1][0] >= n:
         raise ValueError("matrix is singular")
-    return red
+    return [e for _, e in red]
 
 
 def int_inverse_columns(b: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -542,17 +526,13 @@ def rank_one_factor(m: Matrix) -> tuple[tuple[Scalar, ...], tuple[Scalar, ...]]:
     """
     if rank(m) != 1:
         raise ValueError("rank_one_factor requires a matrix of rank exactly 1")
-    pivot_col = -1
-    for j in range(m.cols):
-        if any(m.entry(i, j) for i in range(m.rows)):
-            pivot_col = j
-            break
+    # for m = x y^T the first nonzero entry in row-major order sits at
+    # the first nonzero of x and the first nonzero of y
+    k = next(k for k, e in enumerate(m.entries) if e)
+    pivot_row, pivot_col = divmod(k, m.cols)
     col = m.col(pivot_col)
-    pivot_row = next(i for i, e in enumerate(col) if e)
-    scale = col[pivot_row]
-    x = tuple(e / scale for e in col)
-    y = tuple(m.entry(pivot_row, j) for j in range(m.cols))
-    return x, y
+    x = tuple(e / col[pivot_row] for e in col)
+    return x, m.row(pivot_row)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,8 @@ def scalar_from_json(x: Any) -> Scalar:
         unknown = set(x) - {"re", "im"}
         if unknown:
             raise ValueError(f"unknown scalar fields {sorted(unknown)}")
+        if not x:
+            raise ValueError("a scalar object needs 're' or 'im'")
         return Scalar(_fraction_from_json(x.get("re", 0)),
                       _fraction_from_json(x.get("im", 0)))
     return Scalar(_fraction_from_json(x))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import (Basis, Key, Matrix, Scalar, _projective_keys, _reduce,
+from .exact import (Basis, Key, Matrix, Scalar, _insert, _projective_keys,
                     _rotation, _square_size, primitive, rank, rank_one_factor)
 
 
@@ -232,14 +232,12 @@ def algebra_dimension(gens: Sequence[Matrix]) -> int:
     basis: Basis = []
 
     def try_add(row: Key) -> bool:
-        lead, row = _reduce(basis, row)
-        if lead < 0:
+        if not _insert(basis, row):
             return False
-        basis.append((lead, row))
         if len(row) > n * n:
             # iX is never in a rotation-closed span that lacks X, so
             # it always enters too
-            basis.append(_reduce(basis, _rotation(row, n)))
+            _insert(basis, _rotation(basis[-1][1], n))
         return True
 
     try_add(identity)

@@ -1,9 +1,10 @@
 """Spectral radius and primitivity of nonnegative matrices.
 
-This is the only module that computes in floating point.  Inputs are
-still validated exactly (square, real, entrywise nonnegative) before
-being converted to floats and handed to the power iteration kernel;
-`is_primitive` is exact.
+Only this module and the float routines it calls in
+:mod:`matsemi._kernels` (``power_iteration`` and ``residual``) compute
+in floating point.  Inputs are validated exactly (square, real,
+entrywise nonnegative) before they become floats; `is_primitive` is
+exact.
 """
 
 from __future__ import annotations

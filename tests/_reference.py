@@ -6,8 +6,11 @@ product goes through ``matrix_product``, every canonical form through
 group closures are checked by inverting every member, and key products
 are the dense integer loop over every entry.  Ranks are checked
 against the integer real form [[A, -B], [B, A]], with its own sign
-convention and a separate lcm per row.  Theorem conclusions are tested
-on every closure member rather than on the generators.
+convention and a separate lcm per row.  Null spaces and inverses are
+read off a Gauss-Jordan loop with its own column-pivot search and row
+swaps, and rank-one factors take their pivot from a first-nonzero-column
+scan.  Theorem conclusions are tested on every closure member rather
+than on the generators.
 Diagonal similarity is decided on ``Scalar`` values: propagated along
 the support graph, reduced to signs when real, and verified by
 conjugating every matrix.  Strongly connected components come from an
@@ -39,8 +42,8 @@ from matsemi import (Caps, Cone, DecompositionKind, DecompositionReport,
                      generate_closure, projective_canonical, rank,
                      simultaneous_diag_sim)
 from matsemi.cones import Vec
-from matsemi.exact import (ONE, _as_fraction, _int_vector, int_rank, inverse,
-                           matrix_product, primitive)
+from matsemi.exact import (ONE, _as_fraction, _clear, _int_vector, int_rank,
+                           inverse, matrix_product, primitive)
 from matsemi.semigroup import Key
 
 
@@ -219,6 +222,89 @@ def reference_real_form(m: Matrix) -> tuple[list[list[int]], list[int]]:
         bottom.append(im + re)
         dens.append(den)
     return top + bottom, dens
+
+
+def reference_int_gauss_jordan(
+        rows: Sequence[Sequence[int]]
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination over integer rows.
+
+    Returns (rows, pivots).  For i < len(pivots), row i has a nonzero
+    entry D_i at column pivots[i] and zeros in every other pivot column,
+    so it is D_i times row i of the rational reduced row echelon form;
+    the rows after those are zero.  Each update clears one entry with
+    ``_clear``, so entries stay integers and every row stays primitive.
+    D_i may be negative: callers dividing by it must keep its sign.
+    """
+    work = [primitive(r) for r in rows]
+    pivots: list[int] = []
+    nrows = len(work)
+    ncols = len(work[0]) if work else 0
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if work[i][c]), None)
+        if p is None:
+            continue
+        work[r], work[p] = work[p], work[r]
+        prow = work[r]
+        for i in range(nrows):
+            if i != r and work[i][c]:
+                work[i] = _clear(work[i], prow, c)
+        pivots.append(c)
+        r += 1
+    return work, pivots
+
+
+def reference_int_nullspace(rows: Sequence[Sequence[int]],
+                            n: int) -> list[tuple[int, ...]]:
+    """``int_nullspace`` read off ``reference_int_gauss_jordan``."""
+    red, pivots = reference_int_gauss_jordan(rows)
+    den = math.lcm(*(abs(red[i][p]) for i, p in enumerate(pivots)))
+    pivset = set(pivots)
+    basis: list[tuple[int, ...]] = []
+    for f in range(n):
+        if f in pivset:
+            continue
+        v = [0] * n
+        v[f] = den
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f] * (den // red[i][p])
+        basis.append(primitive(v))
+    return basis
+
+
+def reference_int_inverse_rows(
+        b: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """``_int_inverse_rows`` read off ``reference_int_gauss_jordan``:
+    [b | I] eliminated to rows D_i e_i | X_i, or ValueError if b is
+    singular."""
+    n = len(b)
+    red, pivots = reference_int_gauss_jordan(
+        [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(b)])
+    if pivots and pivots[-1] >= n:
+        raise ValueError("matrix is singular")
+    return red
+
+
+def reference_rank_one_factor(
+        m: Matrix) -> tuple[tuple[Scalar, ...], tuple[Scalar, ...]]:
+    """x y^T = m with the pivot found by a first-nonzero-column scan."""
+    if rank(m) != 1:
+        raise ValueError("rank_one_factor requires a matrix of rank exactly 1")
+    pivot_col = -1
+    for j in range(m.cols):
+        if any(m.entry(i, j) for i in range(m.rows)):
+            pivot_col = j
+            break
+    col = m.col(pivot_col)
+    pivot_row = next(i for i, e in enumerate(col) if e)
+    scale = col[pivot_row]
+    x = tuple(e / scale for e in col)
+    y = tuple(m.entry(pivot_row, j) for j in range(m.cols))
+    return x, y
 
 
 def reference_classify_entries(m: Matrix) -> EntryClassification:

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import matsemi
-from matsemi import Matrix, cli, harness
+from matsemi import Caps, Matrix, cli, harness
 from matsemi.cli import main
 from matsemi.io import dump_json, matrix_to_json
 from _fx import M
@@ -88,6 +88,16 @@ def test_closure_and_caps_flags(paths, capsys):
     assert code == 0
     assert out["truncated"] and out["count"] == 4
     assert out["caps"]["max_elements"] == 4
+
+
+def test_caps_flag_defaults_are_caps_defaults():
+    caps = Caps()
+    parser = cli.build_parser()
+    for argv in (["closure", "g.json"], ["verify", "group", "g.json"],
+                 ["verify", "semigroup", "g.json"]):
+        args = parser.parse_args(argv)
+        assert (args.max_elements, args.max_word_length) == (
+            caps.max_elements, caps.max_word_length), argv
 
 
 def test_irreducible(paths, capsys):
@@ -222,6 +232,7 @@ BAD_MATRICES = [
     {"rows": True, "cols": 1, "entries": [["1"]]},
     {"rows": 1, "cols": 1, "entries": ["1"]},
     {"rows": 1, "cols": 1, "entries": [[None]]},
+    {"rows": 1, "cols": 1, "entries": [[{}]]},
     [1, 2],
     None,
 ]

@@ -13,12 +13,13 @@ from matsemi import (Cone, Matrix, Scalar, algebra_dimension, canonical_ray,
                      subset_invariance_oracle, union_pattern,
                      verify_group_theorem, verify_semigroup_theorem)
 from matsemi import exact
-from matsemi.exact import (int_gauss_jordan, int_independent_subset,
-                           int_inverse_columns, int_nullspace, int_rank,
-                           primitive)
+from matsemi.exact import (int_independent_subset, int_inverse_columns,
+                           int_nullspace, int_rank, primitive)
 from _fx import M, outer, random_int_matrix
 from _reference import (_independent_subset, _nullspace, _rref,
-                        reference_classify_entries, reference_real_form)
+                        reference_classify_entries, reference_int_inverse_rows,
+                        reference_int_nullspace, reference_rank_one_factor,
+                        reference_real_form)
 
 
 def test_scalar_arithmetic():
@@ -396,18 +397,19 @@ def test_primitive():
     assert primitive([1, 5]) == (1, 5)
 
 
-def test_int_gauss_jordan_matches_fraction_rref():
+def test_reduced_basis_matches_fraction_rref():
     rng = random.Random(505)
     ranks = set()
     for rows, ncols in int_rows_corpus(rng):
         frows = [[Fraction(x) for x in r] for r in rows]
         fred, fpiv = _rref(frows)
-        red, piv = int_gauss_jordan(rows)
+        basis = exact._reduced_basis(rows)
+        piv = [p for p, _ in basis]
+        red = [e for _, e in basis]
         assert piv == fpiv
         ranks.add(len(piv) - min(len(rows), ncols))
         for i, p in enumerate(piv):
             assert list(red[i]) == [red[i][p] * x for x in fred[i]]
-        assert all(not any(r) for r in red[len(piv):])
         assert all(is_primitive(r) for r in red)
         assert int_rank(rows) == len(fpiv)
         assert int_independent_subset(rows) == _independent_subset(frows)
@@ -438,14 +440,90 @@ def test_int_inverse_columns_are_positive_multiples():
             assert is_primitive(u)
             assert is_positive_multiple(u, [inv.entry(i, j).re
                                             for i in range(n)])
-        red, _ = int_gauss_jordan([r + [int(i == j) for j in range(n)]
-                                   for i, r in enumerate(b)])
+        red = exact._int_inverse_rows(b)
         negative_pivot += any(red[i][i] < 0 for i in range(n))
     assert negative_pivot >= 5
     with pytest.raises(ValueError):
         int_inverse_columns([[1, 2], [2, 4]])
     with pytest.raises(ValueError):
         int_inverse_columns([[0, 0], [0, 0]])
+
+
+def _outcome(f, *args):
+    """f(*args), or "singular" where f refuses with ValueError."""
+    try:
+        return f(*args)
+    except ValueError:
+        return "singular"
+
+
+def _sparse_int(rng, lo=-5, hi=5):
+    return rng.choice((0, 0, rng.randint(lo, hi)))
+
+
+def test_elimination_matches_reference_gauss_jordan(monkeypatch):
+    # null spaces, inverse columns and inverses equal the ones read off
+    # an independent Gauss-Jordan loop with column pivots and row swaps
+    rng = random.Random(2222)
+    seen = dict.fromkeys(("no rows", "zero row", "tall", "singular",
+                          "n = 0", "gaussian"), 0)
+
+    def with_reference_rows(f, *args):
+        with monkeypatch.context() as mp:
+            mp.setattr(exact, "_int_inverse_rows",
+                       reference_int_inverse_rows)
+            return _outcome(f, *args)
+
+    for _ in range(12000):
+        ncols, nrows = rng.randint(0, 7), rng.randint(0, 6)
+        rows = [[_sparse_int(rng) for _ in range(ncols)]
+                for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.3:
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+        assert int_nullspace(rows, ncols) == reference_int_nullspace(
+            rows, ncols)
+        seen["no rows"] += not rows
+        seen["zero row"] += any(not any(r) for r in rows)
+        seen["tall"] += nrows > ncols
+    for _ in range(5000):
+        n = rng.randint(0, 5)
+        b = [[_sparse_int(rng, -4, 4) for _ in range(n)] for _ in range(n)]
+        got = _outcome(int_inverse_columns, b)
+        assert got == with_reference_rows(int_inverse_columns, b)
+        seen["singular"] += got == "singular"
+        seen["n = 0"] += n == 0
+    for _ in range(4000):
+        n = rng.randint(1, 4)
+        if rng.random() < 0.5:
+            m = random_gaussian_matrix(rng, n, n)
+            seen["gaussian"] += not classify_entries(m).is_real
+        else:
+            m = random_int_matrix(rng, n, n)
+        assert repr(_outcome(inverse, m)) == repr(
+            with_reference_rows(inverse, m))
+    assert min(seen.values()) >= 50, seen
+
+
+def test_rank_one_factor_matches_reference():
+    rng = random.Random(4041)
+    gaussian = 0
+
+    def part():
+        return rng.choice((0, 0, rng.randint(-3, 3),
+                           Fraction(rng.randint(-3, 3), rng.randint(1, 4))))
+
+    for _ in range(3000):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        imag = rng.random() < 0.5
+        u = [Scalar(part(), part() if imag else 0) for _ in range(r)]
+        v = [Scalar(part(), part() if imag else 0) for _ in range(c)]
+        if not any(u) or not any(v):
+            continue
+        m = Matrix.from_rows([[a * b for b in v] for a in u])
+        assert rank_one_factor(m) == reference_rank_one_factor(m)
+        gaussian += not classify_entries(m).is_real
+    assert gaussian >= 500
 
 
 _COLLECTION_ENTRY_POINTS = (

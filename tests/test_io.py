@@ -34,6 +34,9 @@ def test_scalar_from_json_inputs():
         scalar_from_json({"re": "1", "imag": "2"})
     with pytest.raises(ValueError):
         scalar_from_json(None)
+    # an object with neither part is not a zero entry
+    with pytest.raises(ValueError, match="'re' or 'im'"):
+        scalar_from_json({})
 
 
 @pytest.mark.parametrize("entry", ["1e5", "2E-3", {"re": "1e2"},
