@@ -37,7 +37,7 @@ _EXPORTS = {
 _SOURCES = {name: module for module, names in _EXPORTS.items()
             for name in names}
 # Submodules reachable as attributes after a bare ``import matsemi``.
-_SUBMODULES = frozenset(_EXPORTS) | {"io", "_kernels"}
+_SUBMODULES = frozenset(_EXPORTS) | {"io"}
 
 __version__ = "0.1.0"
 

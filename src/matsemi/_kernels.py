@@ -1,73 +1,10 @@
-"""Hot numeric kernels: power iteration and the two exhaustive oracles.
+"""Spectral's float kernels: the shifted power iteration and its residual.
 
-The oracles are bit-parallel on Python integers: one int per vertex
-holds that vertex's bit in every candidate mask at once, so each matrix
-entry rules out all the masks it contradicts in one integer operation.
-The power iteration runs on Python floats over sparse rows.  Exactness
-lives in the rational modules, which only hand validated data down.
+Both run on Python floats over sparse rows.  Exactness lives in the
+rational modules, which only hand validated data down.
 """
 
 from __future__ import annotations
-
-
-def _bit_columns(width: int) -> list[int]:
-    """cols[p] has bit m set iff bit p of m is set, for all m < 2^width.
-
-    Each step doubles the masks: the old columns repeat, and the new top
-    bit is clear on the old half and set on the new one.
-    """
-    cols: list[int] = []
-    for t in range(width):
-        span = 1 << t
-        cols = [c | c << span for c in cols] + [((1 << span) - 1) << span]
-    return cols
-
-
-def sign_search(signs, n: int) -> int:
-    """First mask in [0, 2^(n-1)) giving a feasible sign diagonal.
-
-    signs holds one row-major list of n*n entry signs in {-1, 0, 1} per
-    matrix.  Bit (n-1-i) of the mask holds the sign of vertex i (set =
-    -1), so ascending masks enumerate sign vectors in lexicographic order
-    with the leading sign pinned to +1.  Returns -1 if none is feasible.
-    """
-    bits = [0] + _bit_columns(n - 1)[::-1]
-    ok = (1 << (1 << (n - 1))) - 1
-    for sg in signs:
-        for k, s in enumerate(sg):
-            if s:
-                i, j = divmod(k, n)
-                # masks where s_i * s_j = -1; a negative diagonal entry
-                # (i == j) therefore rules out every mask
-                flip = bits[i] ^ bits[j]
-                ok &= flip if s < 0 else ~flip
-        if not ok:
-            return -1
-    return (ok & -ok).bit_length() - 1
-
-
-def subset_search(edges, n: int) -> int:
-    """Smallest, then lexicographically first, nontrivial subset S of
-    range(n) that no edge (i, j) enters from outside (j in S implies
-    i in S).  Element i sits at bit n-1-i of the returned mask, so within
-    one size the first subset is the highest mask.  Returns -1 if none
-    qualifies.
-    """
-    bits = _bit_columns(n)[::-1]
-    ok = (1 << (1 << n)) - 1
-    for i, j in edges:
-        if i != j:
-            ok &= ~(bits[j] & ~bits[i])
-    # by_size[k] has bit m set iff mask m has k elements
-    by_size = [1]
-    for t in range(n):
-        by_size = [a | (b << (1 << t))
-                   for a, b in zip(by_size + [0], [0] + by_size)]
-    for size in range(1, n):
-        hits = ok & by_size[size]
-        if hits:
-            return hits.bit_length() - 1
-    return -1
 
 
 def _sparse_rows(a) -> list[list[tuple[int, float]]]:

@@ -126,6 +126,8 @@ def _cmd_fixtures(args) -> int:
     from .harness import run_fixtures
 
     summary = run_fixtures(args.filter)
+    if not summary.results:
+        raise ValueError(f"no fixture name contains {args.filter!r}")
     _emit(summary.to_json())
     return 0 if summary.all_passed else 1
 

@@ -118,6 +118,14 @@ class PropernessReport:
 # -- cone operations ------------------------------------------------------
 
 
+# Most positive x negative ray pairs one double description step may
+# combine; a larger step raises ValueError before any pair is tried, as
+# the ray set can grow by a factor per step.  A step costs about 0.15 s
+# per million pairs (2-vCPU VM, CPython 3.11.7); README "Numeric
+# kernels" gives the seeded cones this bound refuses and admits.
+MAX_DD_PAIRS = 10**6
+
+
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(operator.mul, a, b))
 
@@ -131,6 +139,9 @@ def _dd_insert(rays: list[IntVec], processed: list[IntVec], h: IntVec,
     neg = [i for i, x in enumerate(s) if x < 0]
     if not neg:
         return rays
+    if len(pos) * len(neg) > MAX_DD_PAIRS:
+        raise ValueError(f"cone duality is limited to {MAX_DD_PAIRS} ray "
+                         f"pairs per step, got {len(pos)} x {len(neg)}")
     active = [{i for i, c in enumerate(processed) if _dot(c, r) == 0}
               for r in rays]
     out = dict.fromkeys(rays[i] for i in pos + zer)

@@ -2,6 +2,8 @@
 
 The oracles re-answer questions the structured algorithms answer, by
 brute force, so the two routes can be compared on random instances.
+Each runs its own bit-parallel search over every candidate mask, laid
+out by ``_bit_columns``, and decodes its answer with the same columns.
 The theorem pipelines check hypotheses first and only then test the
 conclusion; a run whose hypotheses hold but whose conclusion fails is a
 falsification event and is expected never to occur.
@@ -14,7 +16,6 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from . import _kernels
 from .diagsim import (DiagonalWitness, SignDiagonal, _real_signs, conjugate,
                       diag_sim_nonneg, simultaneous_diag_sim)
 from .exact import (Matrix, Scalar, _square_size, classify_entries,
@@ -40,6 +41,25 @@ MAX_SIGN_SEARCH_N = 20
 MAX_SUBSET_SEARCH_N = 17
 
 
+def _bit_columns(width: int) -> list[int]:
+    """One column per vertex over all 2^width candidate masks.
+
+    Vertex i sits at bit width-1-i of a mask m, and cols[i] has bit m
+    set iff m holds vertex i.  So one Python int carries a vertex's bit
+    in every mask at once, and an integer operation on columns tests all
+    masks together.  With vertex 0 most significant, ascending masks run
+    through 0/1 vectors in lexicographic order.
+
+    Each step doubles the masks: the old columns repeat, and the new
+    leading vertex is clear on the old half and set on the new one.
+    """
+    cols: list[int] = []
+    for t in range(width):
+        span = 1 << t
+        cols = [((1 << span) - 1) << span] + [c | c << span for c in cols]
+    return cols
+
+
 def sign_search_oracle(ms: Sequence[Matrix]) -> Optional[SignDiagonal]:
     """Exhaustive search over +-1 diagonals with the first sign +1.
 
@@ -54,10 +74,21 @@ def sign_search_oracle(ms: Sequence[Matrix]) -> Optional[SignDiagonal]:
     signs = _real_signs(ms)
     if signs is None:
         raise ValueError("sign search requires real matrices")
-    mask = _kernels.sign_search(signs, n)
-    if mask < 0:
-        return None
-    return SignDiagonal(tuple(-1 if (mask >> (n - 1 - i)) & 1 else 1
+    # a set bit means sign -1; vertex 0 keeps +1 in every mask
+    bits = [0] + _bit_columns(n - 1)
+    ok = (1 << (1 << (n - 1))) - 1
+    for sg in signs:
+        for k, s in enumerate(sg):
+            if s:
+                i, j = divmod(k, n)
+                # masks where s_i * s_j = -1; a negative diagonal entry
+                # (i == j) therefore rules out every mask
+                flip = bits[i] ^ bits[j]
+                ok &= flip if s < 0 else ~flip
+        if not ok:
+            return None
+    mask = (ok & -ok).bit_length() - 1
+    return SignDiagonal(tuple(-1 if bits[i] >> mask & 1 else 1
                               for i in range(n)))
 
 
@@ -79,11 +110,25 @@ def subset_invariance_oracle(m: Matrix) -> SubsetReport:
     if n > MAX_SUBSET_SEARCH_N:
         raise ValueError(f"subset search is limited to n <= "
                          f"{MAX_SUBSET_SEARCH_N}, got n = {n}")
-    hit = _kernels.subset_search(union_pattern([m]).edges, n)
-    if hit < 0:
-        return SubsetReport(False, None)
-    return SubsetReport(True, tuple(i for i in range(n)
-                                    if (hit >> (n - 1 - i)) & 1))
+    bits = _bit_columns(n)
+    ok = (1 << (1 << n)) - 1
+    for i, j in union_pattern([m]).edges:
+        if i != j:
+            ok &= ~(bits[j] & ~bits[i])
+    # by_size[k] has bit m set iff mask m has k elements
+    by_size = [1]
+    for t in range(n):
+        by_size = [a | (b << (1 << t))
+                   for a, b in zip(by_size + [0], [0] + by_size)]
+    for size in range(1, n):
+        hits = ok & by_size[size]
+        if hits:
+            # within one size the lexicographically first subset is the
+            # highest mask
+            hit = hits.bit_length() - 1
+            return SubsetReport(True, tuple(i for i in range(n)
+                                            if bits[i] >> hit & 1))
+    return SubsetReport(False, None)
 
 
 # -- theorem pipelines -----------------------------------------------------

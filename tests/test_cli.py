@@ -1,8 +1,10 @@
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -157,6 +159,27 @@ def test_fixtures_exit_code(capsys):
     assert code == 0
     assert out["all_passed"] is True
     assert out["total"] > 0 and out["failures"] == 0
+
+    # a filter that matches no fixture is bad input, not a clean pass
+    code = main(["fixtures", "--filter", "nosuch"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "nosuch" in captured.err
+
+
+def test_cone_past_the_pair_limit_exits_2(paths, capsys):
+    # dim 9, 70 generators: unbounded, cone duality runs past a minute
+    rng = random.Random(9)
+    k = paths("k.json", {"dim": 9, "rays": [
+        [str(rng.randint(0, 5)) for _ in range(9)] for _ in range(70)]})
+    start = time.perf_counter()
+    code = main(["cone", "dual", k])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 10
+    assert code == 2
+    assert captured.out == ""
+    assert "ray pairs" in captured.err
 
 
 def test_oracle_commands(paths, capsys):
@@ -338,7 +361,8 @@ loaded = sorted(m for m in ("matsemi.harness", "matsemi.semigroup",
                 if m in sys.modules)
 assert not loaded, loaded
 assert cli.main(["verify", "semigroup", sys.argv[2]]) == 0
-loaded = sorted(m for m in ("matsemi.cones", "matsemi.spectral")
+loaded = sorted(m for m in ("matsemi.cones", "matsemi.spectral",
+                            "matsemi._kernels")
                 if m in sys.modules)
 assert not loaded, loaded
 print("analyze-only-ok")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -314,3 +315,28 @@ def test_dual_cache_contract():
         call()
         h1, m1 = lookups()
         assert (h1 - h0, m1 - m0) == (dh, dm)
+
+
+def test_dual_below_the_pair_limit_is_unchanged():
+    # peaks at 41,360 pairs in one step; the digest predates the limit
+    rng = random.Random(7)
+    d = dual(Cone.of(7, [[rng.randint(0, 5) for _ in range(7)]
+                         for _ in range(40)]))
+    text = "\n".join(" ".join(map(str, r.v)) for r in d.rays)
+    assert len(d.rays) == 706
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3ffbd0031ca2345e8f4bef69d1f5430d4769d8e0e7fbc8661ac8ca77a1eb503e")
+
+
+def test_every_cone_operation_refuses_past_the_pair_limit(monkeypatch):
+    # the fourth generator splits the simplicial start into 2 x 1 pairs
+    k = Cone.of(3, [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]])
+    monkeypatch.setattr(cones, "MAX_DD_PAIRS", 1)
+    cones._dual_ray_vectors.cache_clear()
+    for op in (dual, properness, extreme_rays,
+               lambda k: contains(k, [0, 0, 1]),
+               lambda k: is_invariant(Matrix.identity(3), k)):
+        with pytest.raises(ValueError, match="ray pairs"):
+            op(k)
+    monkeypatch.setattr(cones, "MAX_DD_PAIRS", 2)
+    assert len(dual(k).rays) == 4

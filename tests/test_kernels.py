@@ -3,9 +3,8 @@ import random
 
 import numpy as np
 
-from matsemi import Matrix, SignDiagonal
-from matsemi._kernels import (power_iteration, residual, sign_search,
-                              subset_search)
+from matsemi import Matrix, SignDiagonal, harness
+from matsemi._kernels import power_iteration, residual
 from matsemi.harness import sign_search_oracle, subset_invariance_oracle
 from _reference import (reference_power_iteration, reference_sign_search,
                         reference_subset_search)
@@ -34,6 +33,23 @@ def brute_subset_mask(edges, n: int) -> int:
 
 def flat_matrix(flat, n: int) -> Matrix:
     return Matrix.from_rows([flat[i:i + n] for i in range(0, n * n, n)])
+
+
+def sign_mask(signs, n: int) -> int:
+    # the sign oracle's answer in brute_sign_mask's layout
+    s = sign_search_oracle([flat_matrix(sg, n) for sg in signs])
+    if s is None:
+        return -1
+    return sum(1 << (n - 1 - i) for i in range(n) if s.signs[i] < 0)
+
+
+def subset_mask(edges, n: int) -> int:
+    # the subset oracle's answer in brute_subset_mask's layout
+    rep = subset_invariance_oracle(flat_matrix(
+        [int((i, j) in edges) for i in range(n) for j in range(n)], n))
+    if not rep.decomposable:
+        return -1
+    return sum(1 << (n - 1 - i) for i in rep.subset)
 
 
 def random_edges(rng, n: int, density: float) -> frozenset:
@@ -112,19 +128,37 @@ def test_sign_search_matches_brute_force():
         signs = [[rng.randint(-1, 1) for _ in range(n * n)]
                  for _ in range(rng.randint(1, 3))]
         want = brute_sign_mask(signs, n)
-        assert sign_search(signs, n) == want
+        assert sign_mask(signs, n) == want
         outcomes.add(want >= 0)
     assert outcomes == {True, False}
 
 
 def test_sign_search_mask_is_first_feasible():
-    assert sign_search([[0, 0, 0, 0]], 2) == 0
-    assert sign_search([[1, -1, 0, 0]], 2) == 1
+    assert sign_mask([[0, 0, 0, 0]], 2) == 0
+    assert sign_mask([[1, -1, 0, 0]], 2) == 1
     # a strictly mixed row: no sign diagonal can fix it
-    assert sign_search([[1, -1, 1, 1]], 2) == -1
+    assert sign_mask([[1, -1, 1, 1]], 2) == -1
     # a negative diagonal entry is never fixed by conjugation
-    assert sign_search([[1, 0, 0, -1]], 2) == -1
-    assert sign_search([[1]], 1) == 0
+    assert sign_mask([[1, 0, 0, -1]], 2) == -1
+    assert sign_mask([[1]], 1) == 0
+    # each matrix alone is feasible, the two together are not
+    assert sign_mask([[0, 1, 0, 0], [0, -1, 0, 0]], 2) == -1
+
+
+def test_sign_search_stops_once_no_mask_is_left(monkeypatch):
+    # the first matrix has a negative diagonal entry, so the search must
+    # return without reading the sign rows of the later matrices
+    read = []
+
+    def sign_rows(ms):
+        for k, _ in enumerate(ms):
+            read.append(k)
+            yield [1, 0, 0, -1] if k == 0 else [0, 1, 1, 0]
+
+    monkeypatch.setattr(harness, "_real_signs", sign_rows)
+    ms = [flat_matrix([0, 1, 1, 0], 2)] * 3
+    assert sign_search_oracle(ms) is None
+    assert read == [0]
 
 
 def test_sign_search_matches_numpy_reference():
@@ -135,9 +169,8 @@ def test_sign_search_matches_numpy_reference():
         signs = planted_signs(rng, n, rng.randint(1, 3))
         want = reference_sign_search(
             np.array(signs, dtype=np.int8).reshape(len(signs), n, n))
-        assert sign_search(signs, n) == want
-        mats = [flat_matrix(sg, n) for sg in signs]
-        s = sign_search_oracle(mats)
+        assert sign_mask(signs, n) == want
+        s = sign_search_oracle([flat_matrix(sg, n) for sg in signs])
         assert s == (None if want < 0 else SignDiagonal(tuple(
             -1 if (want >> (n - 1 - i)) & 1 else 1 for i in range(n))))
         outcomes.add(want >= 0)
@@ -151,7 +184,7 @@ def test_subset_search_matches_brute_force():
         n = rng.randint(1, 6)
         edges = random_edges(rng, n, rng.choice((0.2, 0.5)))
         want = brute_subset_mask(edges, n)
-        assert subset_search(edges, n) == want
+        assert subset_mask(edges, n) == want
         outcomes.add(want >= 0)
     assert outcomes == {True, False}
 
@@ -160,16 +193,16 @@ def test_subset_search_orders_by_size_then_lexicographically():
     # S qualifies iff no edge (i, j) has j in S and i outside it
     pairs = {(0, 1), (1, 0), (2, 3), (3, 2)}
     # {0, 1} and {2, 3} qualify; {0, 1} comes first
-    assert subset_search(pairs, 4) == 0b1100
+    assert subset_mask(pairs, 4) == 0b1100
     # the edge (1, 2) enters {2, 3}; the edge (2, 1) enters {0, 1}
-    assert subset_search(pairs | {(1, 2)}, 4) == 0b1100
-    assert subset_search(pairs | {(2, 1)}, 4) == 0b0011
+    assert subset_mask(pairs | {(1, 2)}, 4) == 0b1100
+    assert subset_mask(pairs | {(2, 1)}, 4) == 0b0011
     # an isolated vertex is a smaller witness than any pair
-    assert subset_search(pairs, 5) == 0b00001
+    assert subset_mask(pairs, 5) == 0b00001
     # {0, 2} comes before {1, 3}, although its mask is the higher one
-    assert subset_search({(0, 2), (2, 0), (1, 3), (3, 1)}, 4) == 0b1010
-    assert subset_search({(0, 1), (1, 0)}, 2) == -1
-    assert subset_search(set(), 1) == -1
+    assert subset_mask({(0, 2), (2, 0), (1, 3), (3, 1)}, 4) == 0b1010
+    assert subset_mask({(0, 1), (1, 0)}, 2) == -1
+    assert subset_mask(set(), 1) == -1
 
 
 def test_subset_search_matches_numpy_reference():
