@@ -158,6 +158,35 @@ def _real_signs(ms: Sequence[Matrix]) -> Optional[list[list[int]]]:
     return out
 
 
+def _signs_fit(s: Sequence[int], signs: Sequence[int], n: int) -> bool:
+    """Whether the +-1 diagonal s makes the real n x n matrix with these
+    row-major entry signs nonnegative: every s_i * s_j * m_ij >= 0, so
+    for i = j, m_ii >= 0."""
+    for i in range(n):
+        si = s[i]
+        row = i * n
+        for j in range(n):
+            if si * s[j] * signs[row + j] < 0:
+                return False
+    return True
+
+
+def _sign_witness(signs: Sequence[Sequence[int]],
+                  n: int) -> Optional[list[int]]:
+    """The +-1 diagonal making every real n x n matrix with these
+    row-major entry signs nonnegative, or None if none exists.
+
+    Real input is a question of signs only: the candidate is the +-1
+    diagonal of propagated edge signs, and if it fails no diagonal
+    works.
+    """
+    s = _propagate(signs, n, 1, lambda e: e)
+    for sg in signs:
+        if not _signs_fit(s, sg, n):
+            return None
+    return s
+
+
 def diag_sim_nonneg(m: Matrix) -> Optional[DiagonalWitness]:
     """Witness D with D m D^{-1} nonnegative, or None if none exists.
 
@@ -173,17 +202,9 @@ def simultaneous_diag_sim(ms: Sequence[Matrix]) -> Optional[DiagonalWitness]:
     n = _square_size(ms)
     signs = _real_signs(ms)
     if signs is not None:
-        # Real input is a question of signs only: the witness is the +-1
-        # diagonal of propagated edge signs, valid when every
-        # s_i * s_j * m_ij is >= 0 (for i = j, when m_ii >= 0).
-        s = _propagate(signs, n, 1, lambda e: e)
-        for sg in signs:
-            for i in range(n):
-                si = s[i]
-                row = i * n
-                for j in range(n):
-                    if si * s[j] * sg[row + j] < 0:
-                        return None
+        s = _sign_witness(signs, n)
+        if s is None:
+            return None
         return DiagonalWitness(tuple(ONE if x > 0 else _MINUS_ONE
                                      for x in s))
     flats = [m.entries for m in ms]

@@ -472,25 +472,46 @@ def _rotation(key: Key, n: int) -> Key:
     return tuple(out)
 
 
-def _image_rows(m: Matrix) -> list[Key]:
-    """The rows of s times the image of m, for the positive rational s
-    of its key: the key's rows and, at block-row width, its rotation's.
+def _image_rows(key: Key, rows: int, cols: int) -> list[Key]:
+    """The rows of s times the image of the rows x cols matrix with this
+    key, for the key's positive rational s: the key's rows and, at
+    block-row width, its rotation's.
     """
-    key, = _projective_keys([m])
-    w = len(key) // m.rows
-    if w > m.cols:
-        key += _rotation(key, m.cols)
+    w = len(key) // rows
+    if w > cols:
+        key += _rotation(key, cols)
     return [key[i:i + w] for i in range(0, len(key), w)]
 
 
-def rank(m: Matrix) -> int:
-    """Exact rank over the Gaussian rationals.
+def _key_rank(key: Key, rows: int, cols: int) -> int:
+    """Exact rank of the rows x cols matrix with this key.
 
-    A real image A has the rank of m, as rank does not change under
-    field extension; the image [[A, B], [-B, A]] has twice that rank.
+    A real image A has the rank of the matrix, as rank does not change
+    under field extension; the image [[A, B], [-B, A]] has twice that
+    rank.
     """
-    rows = _image_rows(m)
-    return int_rank(rows) * m.cols // len(rows[0])
+    image = _image_rows(key, rows, cols)
+    return int_rank(image) * cols // len(image[0])
+
+
+def _key_parts(key: Key, n: int) -> tuple[Key, Key]:
+    """The real and the imaginary parts, row major, of the n x n matrix
+    with this key, times the key's positive scale.  At real width the
+    imaginary parts are empty."""
+    if len(key) == n * n:
+        return key, ()
+    re: list[int] = []
+    im: list[int] = []
+    for r in range(0, len(key), 2 * n):
+        re += key[r:r + n]
+        im += key[r + n:r + 2 * n]
+    return tuple(re), tuple(im)
+
+
+def rank(m: Matrix) -> int:
+    """Exact rank over the Gaussian rationals."""
+    key, = _projective_keys([m])
+    return _key_rank(key, m.rows, m.cols)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -502,7 +523,8 @@ def inverse(m: Matrix) -> Matrix:
     if not m.is_square:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    rows = _image_rows(m)
+    key, = _projective_keys([m])
+    rows = _image_rows(key, n, n)
     w = len(rows)
     red = _int_inverse_rows(rows)
     # s is a nonzero key part of row 0 over the part of m it scales
@@ -535,7 +557,7 @@ def rank_one_factor(m: Matrix) -> tuple[tuple[Scalar, ...], tuple[Scalar, ...]]:
     return x, m.row(pivot_row)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntryClassification:
     """Sign/shape facts about a matrix, all decided exactly."""
 
@@ -547,19 +569,27 @@ class EntryClassification:
     has_nonneg_diagonal: bool
 
 
+def _nonzero_positions(flat: Sequence, cols: int) -> list[tuple[int, int]]:
+    """(row, column) of each nonzero entry of a row-major sequence."""
+    return [divmod(k, cols) for k, e in enumerate(flat) if e]
+
+
+def _is_monomial(nonzero: Sequence[tuple[int, int]], n: int) -> bool:
+    """Whether these nonzero positions of an n x n matrix hold one entry
+    in every row and every column: n of them, in n distinct rows and n
+    distinct columns."""
+    return (len(nonzero) == n and len({i for i, _ in nonzero}) == n
+            and len({j for _, j in nonzero}) == n)
+
+
 def classify_entries(m: Matrix) -> EntryClassification:
-    nonzero = [divmod(k, m.cols) for k, e in enumerate(m.entries) if e]
-    rows = {i for i, _ in nonzero}
-    cols = {j for _, j in nonzero}
+    nonzero = _nonzero_positions(m.entries, m.cols)
     return EntryClassification(
         is_real=all(e.is_real for e in m.entries),
         is_nonnegative=all(e.is_nonneg_real for e in m.entries),
         is_positive=all(e.is_positive_real for e in m.entries),
         is_diagonal=all(i == j for i, j in nonzero),
-        # one nonzero in every row and every column: n nonzeros in n
-        # distinct rows and n distinct columns
-        is_monomial=(m.is_square
-                     and len(nonzero) == len(rows) == len(cols) == m.rows),
+        is_monomial=m.is_square and _is_monomial(nonzero, m.rows),
         has_nonneg_diagonal=all(m.entry(i, i).is_nonneg_real
                                 for i in range(min(m.rows, m.cols))),
     )

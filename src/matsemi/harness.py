@@ -11,20 +11,26 @@ falsification event and is expected never to occur.
 
 from __future__ import annotations
 
+import functools
 import random
+import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Sequence
 
-from .diagsim import (DiagonalWitness, SignDiagonal, _real_signs, conjugate,
-                      diag_sim_nonneg, simultaneous_diag_sim)
-from .exact import (Matrix, Scalar, _square_size, classify_entries,
+from .diagsim import (DiagonalWitness, SignDiagonal, _real_signs,
+                      _sign_witness, _signs_fit, conjugate, diag_sim_nonneg,
+                      simultaneous_diag_sim)
+from .exact import (Matrix, Scalar, _is_monomial, _key_parts, _key_rank,
+                    _nonzero_positions, _square_size, classify_entries,
                     matrix_product, rank)
 from .io import witness_to_json
 from .semigroup import (Caps, ProjectiveElement, generate_closure,
                         is_irreducible, projective_canonical, rank_one_ideal,
                         xy_decomposition)
-from .structure import (DecompositionKind, classify_decomposability,
+from .structure import (DecompositionKind, PatternDigraph,
+                        classify_decomposability, scc_condensation,
                         union_pattern)
 
 # -- exhaustive oracles ----------------------------------------------------
@@ -142,13 +148,21 @@ class HypothesisCheck:
 
 @dataclass(frozen=True, slots=True)
 class TheoremReport:
+    """A pipeline's verdict.  ``hypotheses`` is a read-only mapping, and
+    reports with equal hypotheses or notes share one object for them."""
+
     theorem: str
-    hypotheses: dict[str, HypothesisCheck]
+    hypotheses: Mapping[str, HypothesisCheck]
     applicable: bool
     conclusion_holds: bool
     witness: Optional[DiagonalWitness]
     monomial_check: Optional[bool]
     notes: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "hypotheses",
+                           _hypotheses(tuple(self.hypotheses.items())))
+        object.__setattr__(self, "notes", sys.intern(self.notes))
 
     @property
     def falsified(self) -> bool:
@@ -167,11 +181,24 @@ class TheoremReport:
         }
 
 
-# The irreducibility check of both pipelines, one shared report per verdict.
-_IRREDUCIBLE = {
-    True: HypothesisCheck(True, "generated algebra has full dimension"),
-    False: HypothesisCheck(False, "generated algebra spans a proper subspace"),
-}
+# Callers keep reports in bulk, and most of them repeat a few checks and
+# hypothesis maps, so equal ones are handed out as one shared object.
+@functools.lru_cache(maxsize=4096)
+def _check(holds: bool, detail: str) -> HypothesisCheck:
+    return HypothesisCheck(holds, detail)
+
+
+@functools.lru_cache(maxsize=4096)
+def _hypotheses(items: tuple[tuple[str, HypothesisCheck], ...]
+                ) -> Mapping[str, HypothesisCheck]:
+    return MappingProxyType(dict(items))
+
+
+def _irreducible(gens: Sequence[Matrix]) -> HypothesisCheck:
+    """The irreducibility check of both pipelines."""
+    if is_irreducible(gens):
+        return _check(True, "generated algebra has full dimension")
+    return _check(False, "generated algebra spans a proper subspace")
 
 
 def _validate_theorem_input(gens: Sequence[Matrix]) -> int:
@@ -181,7 +208,58 @@ def _validate_theorem_input(gens: Sequence[Matrix]) -> int:
     return n
 
 
-def _report(theorem: str, hyps: dict[str, HypothesisCheck],
+# -- member facts, decided on projective keys -------------------------------
+#
+# A member's key is a positive multiple of its parts, so it has the
+# member's entry signs and zero pattern.  Each fact goes through the
+# routine that decides it for a Matrix, fed the key's data.
+
+
+def _entry_signs(parts: Sequence[int]) -> list[int]:
+    return [(x > 0) - (x < 0) for x in parts]
+
+
+def _nonneg_diagonal(e: ProjectiveElement, n: int) -> bool:
+    re, im = _key_parts(e._key, n)
+    diagonal = range(0, n * n, n + 1)
+    return (all(re[k] >= 0 for k in diagonal)
+            and not (im and any(im[k] for k in diagonal)))
+
+
+def _feasible(e: ProjectiveElement, n: int) -> bool:
+    """Whether the member is diagonally similar to a nonnegative matrix:
+    on its entry signs when it is real, on its canonical matrix when
+    not."""
+    re, im = _key_parts(e._key, n)
+    if any(im):
+        return diag_sim_nonneg(e.canonical) is not None
+    return _sign_witness([_entry_signs(re)], n) is not None
+
+
+def _many_blocks(e: ProjectiveElement, n: int) -> bool:
+    """Whether the member has rank >= 2 and more than two components."""
+    if _key_rank(e._key, n, n) < 2:
+        return False
+    re, im = _key_parts(e._key, n)
+    nonzero = _nonzero_positions([a or b for a, b in zip(re, im)]
+                                 if im else re, n)
+    return scc_condensation(PatternDigraph(n, frozenset(nonzero))
+                            ).scc_count > 2
+
+
+def _generator_members(members: Sequence[ProjectiveElement]
+                       ) -> list[ProjectiveElement]:
+    """The members with one-letter words: one per generator class."""
+    return [e for e in members if len(e.word) == 1]
+
+
+def _first(members: Sequence[ProjectiveElement],
+           test: Callable[[ProjectiveElement], bool]) -> Optional[int]:
+    """Index of the first member passing the test, or None."""
+    return next((idx for idx, e in enumerate(members) if test(e)), None)
+
+
+def _report(theorem: str, hyps: Mapping[str, HypothesisCheck],
             gens: Sequence[Matrix], members: Sequence[ProjectiveElement],
             monomial: bool) -> TheoremReport:
     """A pipeline's report, its conclusion tested on the generators.
@@ -193,21 +271,37 @@ def _report(theorem: str, hyps: dict[str, HypothesisCheck],
     generators so.  When the hypotheses hold, ``members`` is the whole
     closure, where a generator's class has the one-letter word of its
     first generator: one generator per class is tested.
+
+    The witness is re-checked, not taken on trust.  A real +-1 witness
+    on real generators is checked on the signs of their keys by the
+    routine that found it, and it keeps every zero pattern, so the
+    monomial check reads the keys too; any other witness is checked on
+    the conjugated generators.
     """
     if not all(h.holds for h in hyps.values()):
         return TheoremReport(theorem, hyps, False, False, None, None,
                              "hypotheses not established; conclusion untested")
-    gens = [gens[e.word[0]] for e in members if len(e.word) == 1]
+    firsts = _generator_members(members)
+    gens = [gens[e.word[0]] for e in firsts]
     witness = simultaneous_diag_sim(gens)
     if witness is None:
         return TheoremReport(theorem, hyps, True, False, None, None,
                              "no simultaneous diagonal similarity exists")
-    conj = [conjugate(witness, g) for g in gens]
-    conclusion = all(x.is_nonneg_real for c in conj for x in c.entries)
+    n = len(witness.d)
+    parts = [_key_parts(e._key, n) for e in firsts]
+    if (all(x == 1 or x == -1 for x in witness.d)
+            and not any(any(im) for _, im in parts)):
+        s = [1 if x == 1 else -1 for x in witness.d]
+        flats = [_entry_signs(re) for re, _ in parts]
+        conclusion = all(_signs_fit(s, sg, n) for sg in flats)
+    else:
+        flats = [conjugate(witness, g).entries for g in gens]
+        conclusion = all(x.is_nonneg_real for f in flats for x in f)
     notes = f"witness verified on {len(members)} members"
     monomial_check = None
     if monomial:
-        monomial_check = all(classify_entries(c).is_monomial for c in conj)
+        monomial_check = all(_is_monomial(_nonzero_positions(f, n), n)
+                             for f in flats)
         conclusion = conclusion and monomial_check
         if not monomial_check:
             notes += "; a conjugated member is not monomial"
@@ -232,32 +326,32 @@ def verify_group_theorem(gens: Sequence[Matrix],
     """
     n = _validate_theorem_input(gens)
     closure = generate_closure(gens, caps)
+    members = closure.elements
     hyps: dict[str, HypothesisCheck] = {}
 
     if closure.truncated:
-        a = HypothesisCheck(False, (
-            f"closure truncated at {len(closure.elements)} elements; "
+        a = _check(False, (
+            f"closure truncated at {len(members)} elements; "
             "group property not established"))
-    elif not all(rank(g) == n for g in gens):
-        a = HypothesisCheck(False, "a generator is singular")
+    elif not all(_key_rank(e._key, n, n) == n
+                 for e in _generator_members(members)):
+        a = _check(False, "a generator is singular")
     else:
-        a = HypothesisCheck(True, (
-            f"projective group with {len(closure.elements)} elements, "
+        a = _check(True, (
+            f"projective group with {len(members)} elements, "
             "inverse-closed"))
     hyps["closure_is_group_within_caps"] = a
 
-    hyps["irreducible"] = _IRREDUCIBLE[is_irreducible(gens)]
+    hyps["irreducible"] = _irreducible(gens)
 
-    bad = [idx for idx, e in enumerate(closure.elements)
-           if not all(e.canonical.entry(i, i).is_nonneg_real
-                      for i in range(n))]
-    detail = ("every member has a nonnegative diagonal" if not bad
-              else f"member {bad[0]} has a negative or non-real diagonal entry")
+    bad = _first(members, lambda e: not _nonneg_diagonal(e, n))
+    detail = ("every member has a nonnegative diagonal" if bad is None
+              else f"member {bad} has a negative or non-real diagonal entry")
     if closure.truncated:
         detail += " (only the truncated closure was checked)"
-    hyps["nonneg_diagonals"] = HypothesisCheck(not bad, detail)
+    hyps["nonneg_diagonals"] = _check(bad is None, detail)
 
-    return _report("Group", hyps, gens, closure.elements, True)
+    return _report("Group", hyps, gens, members, True)
 
 
 def verify_semigroup_theorem(gens: Sequence[Matrix],
@@ -271,42 +365,38 @@ def verify_semigroup_theorem(gens: Sequence[Matrix],
     """
     n = _validate_theorem_input(gens)
     closure = generate_closure(gens, caps)
+    members = closure.elements
     hyps: dict[str, HypothesisCheck] = {}
 
-    hyps["irreducible"] = _IRREDUCIBLE[is_irreducible(gens)]
+    hyps["irreducible"] = _irreducible(gens)
 
     if closure.truncated:
-        hyps["members_individually_feasible"] = HypothesisCheck(
-            False, (f"closure truncated at {len(closure.elements)} elements; "
+        hyps["members_individually_feasible"] = _check(
+            False, (f"closure truncated at {len(members)} elements; "
                     "member quantification not established"))
     else:
-        infeasible = [idx for idx, e in enumerate(closure.elements)
-                      if diag_sim_nonneg(e.canonical) is None]
-        hyps["members_individually_feasible"] = HypothesisCheck(
-            not infeasible,
-            f"all {len(closure.elements)} members feasible" if not infeasible
-            else f"member {infeasible[0]} admits no diagonal witness")
+        infeasible = _first(members, lambda e: not _feasible(e, n))
+        hyps["members_individually_feasible"] = _check(
+            infeasible is None,
+            f"all {len(members)} members feasible" if infeasible is None
+            else f"member {infeasible} admits no diagonal witness")
 
     if n >= 3:
         if closure.truncated:
-            hyps["rank2_members_block_structured"] = HypothesisCheck(
+            hyps["rank2_members_block_structured"] = _check(
                 False, "closure truncated; member quantification "
                        "not established")
         else:
-            offenders = [
-                idx for idx, e in enumerate(closure.elements)
-                if rank(e.canonical) >= 2
-                and classify_decomposability(e.canonical).scc_count > 2
-            ]
-            hyps["rank2_members_block_structured"] = HypothesisCheck(
-                not offenders,
+            offender = _first(members, lambda e: _many_blocks(e, n))
+            hyps["rank2_members_block_structured"] = _check(
+                offender is None,
                 "every rank >= 2 member has at most two components"
-                if not offenders else
-                f"member {offenders[0]} has rank >= 2 and more than "
+                if offender is None else
+                f"member {offender} has rank >= 2 and more than "
                 "two components")
 
     return _report("Semigroup2x2" if n == 2 else "Semigroup", hyps, gens,
-                   closure.elements, False)
+                   members, False)
 
 
 # -- planted instances -----------------------------------------------------

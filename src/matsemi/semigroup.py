@@ -6,22 +6,24 @@ closures are computed projectively.  Inside, every positive-scaling
 class is represented by its projective key from :mod:`matsemi.exact`,
 of the width chosen once for the generator set.  Products of keys are
 plain integer arithmetic on each generator's nonzero image columns,
-and the closure is a set of keys.  At the boundary each member is
-handed out in canonical form, scaled so the largest entry magnitude
-component is 1.  That keeps closures finite in the cases of interest
-and keeps entry sizes bounded.  Closures that hit a cap are marked
-truncated and no downstream check is allowed to treat them as complete.
+and the closure is a set of keys.  Each member is handed out with its
+key; its canonical form, scaled so the largest entry magnitude
+component is 1, is built the first time a caller reads it.  That keeps
+closures finite in the cases of interest and keeps entry sizes bounded.
+Closures that hit a cap are marked truncated and no downstream check is
+allowed to treat them as complete.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import (Basis, Key, Matrix, Scalar, _insert, _projective_keys,
-                    _rotation, _square_size, primitive, rank, rank_one_factor)
+from .exact import (Basis, Key, Matrix, Scalar, _insert, _key_rank,
+                    _projective_keys, _rotation, _square_size, primitive,
+                    rank, rank_one_factor)
 
 
 @dataclass(frozen=True)
@@ -119,16 +121,56 @@ def _extend_word(word: tuple[int, ...], gi: int) -> tuple[int, ...]:
     return word + (gi,)
 
 
-@dataclass(frozen=True, slots=True)
 class ProjectiveElement:
     """A closure member: canonical matrix plus one generator word.
 
     Equality and hashing look at the canonical matrix only; the word is
     provenance (0-based generator indices, earliest discovered word).
+    A member also carries its projective key (``_key``, of the width of
+    its closure's generator set, for an n x n matrix with n = ``_n``).
+    A closure builds a member's canonical matrix from the key the first
+    time it is read, sharing equal entries through ``_memo``.
     """
 
-    canonical: Matrix
-    word: tuple[int, ...] = field(compare=False)
+    __slots__ = ("word", "_key", "_n", "_memo", "_canonical")
+
+    def __init__(self, canonical: Matrix, word: tuple[int, ...]):
+        key, = _projective_keys([canonical])
+        self._set(word, key, canonical.rows, None, canonical)
+
+    @classmethod
+    def _of_key(cls, key: Key, word: tuple[int, ...], n: int,
+                memo: dict) -> "ProjectiveElement":
+        e = cls.__new__(cls)
+        e._set(word, key, n, memo, None)
+        return e
+
+    def _set(self, word, key, n, memo, canonical) -> None:
+        for name, value in (("word", word), ("_key", key), ("_n", n),
+                            ("_memo", memo), ("_canonical", canonical)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ProjectiveElement is immutable")
+
+    @property
+    def canonical(self) -> Matrix:
+        m = self._canonical
+        if m is None:
+            m = _canonical_from_key(self._key, self._n, self._n, self._memo)
+            object.__setattr__(self, "_canonical", m)
+        return m
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ProjectiveElement):
+            return NotImplemented
+        return self.canonical == other.canonical
+
+    def __hash__(self):
+        return hash(self.canonical)
+
+    def __repr__(self) -> str:
+        return f"ProjectiveElement({self.canonical!r}, {self.word!r})"
 
 
 @dataclass(frozen=True)
@@ -158,11 +200,11 @@ def generate_closure(gens: Sequence[Matrix],
     positive-scaling class of the semigroup: scalars commute past
     products.  The search runs on projective keys of the generator
     set's width, so each step is one integer product and one gcd
-    division; members are converted to their max-part-1 canonical form
-    once, on the way out.  Discovery order is by word length, then
-    lexicographic word, so runs are reproducible.  The first product
-    that would exceed a cap marks the closure truncated and ends the
-    search.
+    division; members keep their keys and build their max-part-1
+    canonical form only when it is read.  Discovery order is by word
+    length, then lexicographic word, so runs are reproducible.  The
+    first product that would exceed a cap marks the closure truncated
+    and ends the search.
     """
     n = _square_size(gens)
     product = _key_product
@@ -197,8 +239,8 @@ def generate_closure(gens: Sequence[Matrix],
             order.append(c)
     memo: dict = {}
     return SemigroupClosure(
-        elements=tuple(ProjectiveElement(_canonical_from_key(c, n, n, memo),
-                                         words[c]) for c in order),
+        elements=tuple(ProjectiveElement._of_key(c, words[c], n, memo)
+                       for c in order),
         truncated=truncated,
         caps=caps,
     )
@@ -206,7 +248,8 @@ def generate_closure(gens: Sequence[Matrix],
 
 def rank_one_ideal(closure: SemigroupClosure) -> tuple[ProjectiveElement, ...]:
     """Members of rank at most one, in closure order."""
-    return tuple(e for e in closure.elements if rank(e.canonical) <= 1)
+    return tuple(e for e in closure.elements
+                 if _key_rank(e._key, e._n, e._n) <= 1)
 
 
 def algebra_dimension(gens: Sequence[Matrix]) -> int:

@@ -21,7 +21,7 @@ class NonConvergenceError(RuntimeError):
     """Raised when power iteration cannot meet the residual tolerance."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectralResult:
     """Approximate Perron data with a verified residual contract.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .exact import Matrix, _square_size
+from .exact import Matrix, _nonzero_positions, _square_size
 
 
 class DecompositionKind(str, Enum):
@@ -23,7 +23,7 @@ class DecompositionKind(str, Enum):
     MULTI_DECOMPOSABLE = "MultiDecomposable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatternDigraph:
     """Digraph on vertices 0..n-1 with an edge i->j iff entry (i, j) != 0."""
 
@@ -37,7 +37,7 @@ class PatternDigraph:
         return adj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecompositionReport:
     kind: DecompositionKind
     scc_count: int
@@ -53,7 +53,7 @@ def union_pattern(ms: Sequence[Matrix]) -> PatternDigraph:
     """Pattern of the set: edge present iff nonzero in some member."""
     n = _square_size(ms)
     return PatternDigraph(n, frozenset(
-        divmod(k, n) for m in ms for k, e in enumerate(m.entries) if e))
+        p for m in ms for p in _nonzero_positions(m.entries, n)))
 
 
 def scc_condensation(g: PatternDigraph) -> DecompositionReport:

@@ -10,7 +10,8 @@ convention and a separate lcm per row.  Null spaces and inverses are
 read off a Gauss-Jordan loop with its own column-pivot search and row
 swaps, and rank-one factors take their pivot from a first-nonzero-column
 scan.  Theorem conclusions are tested on every closure member rather
-than on the generators.
+than on the generators, and the theorem pipelines decide every member
+hypothesis on the member's canonical matrix.
 Diagonal similarity is decided on ``Scalar`` values: propagated along
 the support graph, reduced to signs when real, and verified by
 conjugating every matrix.  Strongly connected components come from an
@@ -38,10 +39,10 @@ from matsemi import (Caps, Cone, DecompositionKind, DecompositionReport,
                      DiagonalWitness, EntryClassification, Matrix,
                      PatternDigraph, ProjectiveElement, PropernessReport,
                      Ray, Scalar, SemigroupClosure, TheoremReport,
-                     canonical_ray, classify_entries, conjugate,
-                     generate_closure, projective_canonical, rank,
-                     simultaneous_diag_sim)
+                     canonical_ray, generate_closure, is_irreducible,
+                     projective_canonical)
 from matsemi.cones import Vec
+from matsemi.harness import HypothesisCheck, _validate_theorem_input
 from matsemi.exact import (ONE, _as_fraction, _clear, _int_vector, int_rank,
                            inverse, matrix_product, primitive)
 from matsemi.semigroup import Key
@@ -878,3 +879,172 @@ def reference_subset_search(pattern, order) -> int:
     bad = ((1 - members) * into).sum(axis=1)
     hits = np.nonzero(bad == 0)[0]
     return int(order[hits[0]]) if hits.size else -1
+
+
+# -- theorem pipelines -----------------------------------------------------
+#
+# The pipelines as they were before member facts were decided on closure
+# keys, verbatim but for the names of the two entry points: every member
+# fact is decided on the member's canonical matrix.  Closures and
+# irreducibility come from matsemi.  Rank, feasibility, components,
+# conjugation and entry flags go through names bound here to routines
+# of this module, so a fault in a routine that the fast pipelines share
+# with the Matrix path shows as a difference.  The other references in
+# this module use these names too.
+
+
+def reference_rank(m: Matrix) -> int:
+    """Rank read off Gauss-Jordan elimination of the real form, whose
+    rank is twice that of m."""
+    return len(reference_int_gauss_jordan(reference_real_form(m)[0])[1]) // 2
+
+
+def diag_sim_nonneg(m: Matrix) -> Optional[DiagonalWitness]:
+    return reference_simultaneous_diag_sim([m])
+
+
+def classify_decomposability(m: Matrix) -> DecompositionReport:
+    return reference_scc_condensation(PatternDigraph(m.rows, frozenset(
+        (i, j) for i in range(m.rows) for j in range(m.cols)
+        if m.entry(i, j))))
+
+
+rank = reference_rank
+conjugate = reference_conjugate
+classify_entries = reference_classify_entries
+simultaneous_diag_sim = reference_simultaneous_diag_sim
+
+# The irreducibility check of both pipelines, one shared report per verdict.
+_IRREDUCIBLE = {
+    True: HypothesisCheck(True, "generated algebra has full dimension"),
+    False: HypothesisCheck(False, "generated algebra spans a proper subspace"),
+}
+
+
+
+def _report(theorem: str, hyps: dict[str, HypothesisCheck],
+            gens: Sequence[Matrix], members: Sequence[ProjectiveElement],
+            monomial: bool) -> TheoremReport:
+    """A pipeline's report, its conclusion tested on the generators.
+
+    Conjugation by a diagonal D is multiplicative.  The generators are
+    members, each member is a positive multiple of a product of them,
+    and products of nonnegative (monomial) matrices are nonnegative
+    (monomial), so D makes all ``members`` so exactly when it makes all
+    generators so.  When the hypotheses hold, ``members`` is the whole
+    closure, where a generator's class has the one-letter word of its
+    first generator: one generator per class is tested.
+    """
+    if not all(h.holds for h in hyps.values()):
+        return TheoremReport(theorem, hyps, False, False, None, None,
+                             "hypotheses not established; conclusion untested")
+    gens = [gens[e.word[0]] for e in members if len(e.word) == 1]
+    witness = simultaneous_diag_sim(gens)
+    if witness is None:
+        return TheoremReport(theorem, hyps, True, False, None, None,
+                             "no simultaneous diagonal similarity exists")
+    conj = [conjugate(witness, g) for g in gens]
+    conclusion = all(x.is_nonneg_real for c in conj for x in c.entries)
+    notes = f"witness verified on {len(members)} members"
+    monomial_check = None
+    if monomial:
+        monomial_check = all(classify_entries(c).is_monomial for c in conj)
+        conclusion = conclusion and monomial_check
+        if not monomial_check:
+            notes += "; a conjugated member is not monomial"
+    return TheoremReport(theorem, hyps, True, conclusion, witness,
+                         monomial_check, notes)
+
+
+def reference_verify_group_theorem(gens: Sequence[Matrix],
+                         caps: Caps = Caps()) -> TheoremReport:
+    """Irreducible groups with nonnegative diagonals become nonnegative
+    monomial groups under one diagonal similarity.
+
+    Hypotheses: the capped closure is a finite inverse-closed group of
+    invertible matrices; the generators act irreducibly; every closure
+    member has a nonnegative diagonal.  When all hold, one witness must
+    make every generator nonnegative and monomial (see ``_report``).
+
+    A complete closure of invertible classes is a group: the powers of
+    a member g fall in finitely many classes, so g^k = c * g^l for some
+    k > l and c > 0, and g^-1 is in the class of g^(k-l-1) (of g itself
+    when k = l + 1).
+    """
+    n = _validate_theorem_input(gens)
+    closure = generate_closure(gens, caps)
+    hyps: dict[str, HypothesisCheck] = {}
+
+    if closure.truncated:
+        a = HypothesisCheck(False, (
+            f"closure truncated at {len(closure.elements)} elements; "
+            "group property not established"))
+    elif not all(rank(g) == n for g in gens):
+        a = HypothesisCheck(False, "a generator is singular")
+    else:
+        a = HypothesisCheck(True, (
+            f"projective group with {len(closure.elements)} elements, "
+            "inverse-closed"))
+    hyps["closure_is_group_within_caps"] = a
+
+    hyps["irreducible"] = _IRREDUCIBLE[is_irreducible(gens)]
+
+    bad = [idx for idx, e in enumerate(closure.elements)
+           if not all(e.canonical.entry(i, i).is_nonneg_real
+                      for i in range(n))]
+    detail = ("every member has a nonnegative diagonal" if not bad
+              else f"member {bad[0]} has a negative or non-real diagonal entry")
+    if closure.truncated:
+        detail += " (only the truncated closure was checked)"
+    hyps["nonneg_diagonals"] = HypothesisCheck(not bad, detail)
+
+    return _report("Group", hyps, gens, closure.elements, True)
+
+
+def reference_verify_semigroup_theorem(gens: Sequence[Matrix],
+                             caps: Caps = Caps()) -> TheoremReport:
+    """Irreducible semigroups of individually feasible members whose
+    rank >= 2 members have at most two diagonal blocks are feasible as
+    a whole.
+
+    For n = 2 the block-structure hypothesis is skipped (every 2x2
+    matrix has at most two components), hence the distinct theorem id.
+    """
+    n = _validate_theorem_input(gens)
+    closure = generate_closure(gens, caps)
+    hyps: dict[str, HypothesisCheck] = {}
+
+    hyps["irreducible"] = _IRREDUCIBLE[is_irreducible(gens)]
+
+    if closure.truncated:
+        hyps["members_individually_feasible"] = HypothesisCheck(
+            False, (f"closure truncated at {len(closure.elements)} elements; "
+                    "member quantification not established"))
+    else:
+        infeasible = [idx for idx, e in enumerate(closure.elements)
+                      if diag_sim_nonneg(e.canonical) is None]
+        hyps["members_individually_feasible"] = HypothesisCheck(
+            not infeasible,
+            f"all {len(closure.elements)} members feasible" if not infeasible
+            else f"member {infeasible[0]} admits no diagonal witness")
+
+    if n >= 3:
+        if closure.truncated:
+            hyps["rank2_members_block_structured"] = HypothesisCheck(
+                False, "closure truncated; member quantification "
+                       "not established")
+        else:
+            offenders = [
+                idx for idx, e in enumerate(closure.elements)
+                if rank(e.canonical) >= 2
+                and classify_decomposability(e.canonical).scc_count > 2
+            ]
+            hyps["rank2_members_block_structured"] = HypothesisCheck(
+                not offenders,
+                "every rank >= 2 member has at most two components"
+                if not offenders else
+                f"member {offenders[0]} has rank >= 2 and more than "
+                "two components")
+
+    return _report("Semigroup2x2" if n == 2 else "Semigroup", hyps, gens,
+                   closure.elements, False)

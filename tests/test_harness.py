@@ -12,8 +12,10 @@ from matsemi.harness import (_FIXTURES, MAX_SIGN_SEARCH_N,
                              run_fixtures, sign_search_oracle,
                              subset_invariance_oracle, verify_group_theorem,
                              verify_semigroup_theorem)
-from _fx import M, random_int_matrix, random_pattern
-from _reference import reference_report
+from _fx import M, outer, random_int_matrix, random_pattern
+from _reference import (reference_report,
+                        reference_verify_group_theorem,
+                        reference_verify_semigroup_theorem)
 
 C3 = M([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
@@ -320,6 +322,142 @@ def test_report_rechecks_the_witness(monkeypatch):
                   generate_closure(gens).elements, True)
     assert rep.falsified and not rep.conclusion_holds
     assert rep.monomial_check is True
+
+
+
+def _unit_phases(rng, n):
+    return DiagonalWitness((Scalar(1),) + tuple(rng.choice(PHASES)
+                                                for _ in range(n - 1)))
+
+
+def _pipeline_set(rng):
+    """A seeded generator set for the pipelines: n = 2-5; monomial,
+    rank-one or dense generators; real, Gaussian (every generator
+    conjugated by unit phases) or mixed (a real set plus a phase
+    conjugate of one generator); with caps that some closures meet and
+    others do not."""
+    n = rng.randint(2, 5)
+    kind = rng.choice(("monomial", "rank_one", "rank_one", "dense"))
+    count = rng.randint(1, 3)
+    if kind == "monomial":
+        gens = []
+        for _ in range(count):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            value = rng.choice((1, 1, 1, Fraction(1, 2), 2))
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][perm[i]] = value
+            gens.append(M(rows))
+    elif kind == "rank_one":
+        gens = []
+        for _ in range(count + 1):
+            u = [rng.randint(0, 2) for _ in range(n)]
+            v = [rng.randint(0, 2) for _ in range(n)]
+            u[rng.randrange(n)] = v[rng.randrange(n)] = 1
+            gens.append(outer(u, v))
+    else:
+        gens = [random_int_matrix(rng, n, n, 0, 2)
+                for _ in range(rng.randint(1, 2))]
+    if rng.random() < 0.5:
+        # every cycle keeps a positive sign product: feasible as a set
+        d = DiagonalWitness(tuple(Scalar(rng.choice((1, -1)))
+                                  for _ in range(n)))
+        gens = [conjugate(d, g) for g in gens]
+    else:
+        gens = [Matrix(n, n, [e if rng.random() < 0.8 else -e
+                              for e in g.entries]) for g in gens]
+    field = rng.choice(("real", "gaussian", "mixed"))
+    if field == "gaussian":
+        d = _unit_phases(rng, n)
+        gens = [conjugate(d, g) for g in gens]
+    elif field == "mixed":
+        gens.append(conjugate(_unit_phases(rng, n), rng.choice(gens)))
+    caps = Caps(max_elements=rng.choice((10, 50, 100)),
+                max_word_length=rng.choice((3, 6)))
+    return gens, caps, (n, kind, field)
+
+
+def test_pipelines_match_member_quantified_reference():
+    # The reference pipelines decide every member fact on the member's
+    # canonical matrix, through this suite's own rank, solver, SCC and
+    # conjugation routines.
+    rng = random.Random(25025)
+    tally = {}
+    seen = set()
+    for _ in range(600):
+        gens, caps, labels = _pipeline_set(rng)
+        for verify, reference in (
+                (verify_group_theorem, reference_verify_group_theorem),
+                (verify_semigroup_theorem,
+                 reference_verify_semigroup_theorem)):
+            rep = verify(gens, caps)
+            assert rep.to_json() == reference(gens, caps).to_json()
+            for name, h in rep.hypotheses.items():
+                tally[name, h.holds] = tally.get((name, h.holds), 0) + 1
+        seen.add(labels + (generate_closure(gens, caps).truncated,))
+    names = {name for name, _ in tally}
+    assert len(names) == 5
+    for name in names:
+        assert tally[name, True] >= 50 and tally[name, False] >= 50, tally
+    for k in range(4):
+        assert len({labels[k] for labels in seen}) == (4, 3, 3, 2)[k]
+    for field in ("real", "gaussian", "mixed"):
+        assert {t for _, _, f, t in seen if f == field} == {False, True}
+
+
+def test_real_pipelines_build_no_canonical_matrix(monkeypatch):
+    import matsemi.semigroup as sg
+
+    def refuse(*args):
+        raise AssertionError("a canonical matrix was built")
+
+    monkeypatch.setattr(sg, "_canonical_from_key", refuse)
+    rng = random.Random(8)
+    applicable = 0
+    for k in range(40):
+        plant = plant_group_instance if k % 2 else plant_semigroup_instance
+        verify = verify_group_theorem if k % 2 else verify_semigroup_theorem
+        gens, _ = plant(rng, rng.randint(2, 4))
+        applicable += verify(gens, PLANT_CAPS).applicable
+    assert applicable >= 10
+
+def test_reports_share_their_parts_and_retain_little():
+    import gc
+    import os
+    import tracemalloc
+
+    import matsemi
+
+    rng = random.Random(640008)
+    ops = []
+    for k in range(144):
+        group = k % 2 == 0
+        plant = plant_group_instance if group else plant_semigroup_instance
+        gens, _ = plant(rng, rng.randint(2, 4))
+        ops.append((verify_group_theorem if group
+                    else verify_semigroup_theorem, gens))
+    for verify, gens in ops:
+        verify(gens, PLANT_CAPS)
+    src = os.path.join(os.path.dirname(matsemi.__file__), "*")
+    tracemalloc.start()
+    try:
+        reports = [verify(gens, PLANT_CAPS) for verify, gens in ops]
+        # free lists keep the blocks of dead tuples and floats traced
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    kept = sum(t.size for t in snapshot.filter_traces(
+        [tracemalloc.Filter(True, src)]).traces)
+    assert kept <= 250 * len(reports), kept / len(reports)
+    rep = reports[0]
+    with pytest.raises(TypeError):
+        rep.hypotheses["irreducible"] = HypothesisCheck(True, "forged")
+    twin = verify_group_theorem(ops[0][1], PLANT_CAPS)
+    assert twin.hypotheses is rep.hypotheses and twin.notes is rep.notes
+    assert all(a is b for a, b in zip(twin.hypotheses.values(),
+                                      rep.hypotheses.values()))
 
 
 # -- planted instances ------------------------------------------------------

@@ -155,6 +155,22 @@ def test_rank_one_ideal():
     assert len(ideal) == len(cl.elements) == 1
 
 
+def test_members_build_canonical_matrices_only_when_read(monkeypatch):
+    gens = [outer([1, 1, 0], [1, 0, 2]), outer([0, 1, 1], [1, -1, 0]),
+            Matrix.from_rows([[Scalar(0, 1), 0, 0], [0, 1, 0], [0, 0, 1]])]
+    want = [e.canonical for e in generate_closure(gens).elements]
+
+    def refuse(*args):
+        raise AssertionError("a canonical matrix was built")
+
+    monkeypatch.setattr(semigroup, "_canonical_from_key", refuse)
+    cl = generate_closure(gens)
+    ideal = rank_one_ideal(cl)
+    assert 0 < len(ideal) < len(cl.elements) == len(want)
+    monkeypatch.undo()
+    assert [e.canonical for e in cl.elements] == want
+
+
 def test_xy_decomposition_directions_and_spans():
     p = outer([1, 1], [1, 0])
     q = outer([1, 0], [0, 1])

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from matsemi import (DecompositionKind, PatternDigraph,
-                     classify_decomposability, pattern_digraph,
+from matsemi import (DecompositionKind, PatternDigraph, classify_entries,
+                     classify_decomposability, pattern_digraph, perron,
                      scc_condensation, union_pattern)
 from _fx import M, ones, random_pattern
 from _reference import reference_scc_condensation
@@ -166,3 +166,11 @@ def test_union_pattern():
         union_pattern([])
     with pytest.raises(ValueError):
         union_pattern([a, M([[1]])])
+
+
+def test_reports_keep_no_instance_dict():
+    # results are kept in bulk; slotted dataclasses carry no __dict__
+    m = M([[1, 1, 0], [0, 1, 0], [1, 0, 1]])
+    for obj in (pattern_digraph(m), classify_decomposability(m),
+                classify_entries(m), perron(ones(2))):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
