@@ -9,6 +9,7 @@ closures, and algebra irreducibility.
 """
 
 import importlib
+import sys
 
 # The public names of each submodule.  Submodules load on first use, so
 # a command imports only what it runs.
@@ -44,15 +45,22 @@ __version__ = "0.1.0"
 __all__ = sorted(_SOURCES)
 
 
+def _submodule(name: str):
+    # a loaded submodule is read from sys.modules, without the import lock
+    full = f"{__name__}.{name}"
+    module = sys.modules.get(full)
+    return importlib.import_module(full) if module is None else module
+
+
 def __getattr__(name: str):
     # Resolved on every access, never cached here: whatever the submodule
     # binds now (a test may have replaced the function) is what callers get.
     source = _SOURCES.get(name)
     if source is None:
         if name in _SUBMODULES:
-            return importlib.import_module(f"{__name__}.{name}")
+            return _submodule(name)
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{source}"), name)
+    return getattr(_submodule(source), name)
 
 
 def __dir__() -> list[str]:

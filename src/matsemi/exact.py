@@ -385,10 +385,31 @@ def int_nullspace(rows: Sequence[Sequence[int]],
     basis vector (1 at f, minus the reduced column at the pivots)
     times the positive lcm L of the |D_i|, then made primitive.
     """
-    red = _reduced_basis(rows)
+    return int_span(rows, n)[1]
+
+
+def int_span(rows: Sequence[Sequence[int]], n: int,
+             max_null_entries: float = math.inf,
+             ) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The indices of ``int_independent_subset`` and the basis of
+    ``int_nullspace``, from one echelon basis of the rows.
+
+    Raises ValueError before building the null-space basis if it would
+    hold more than max_null_entries entries: n per free column.
+    """
+    basis: Basis = []
+    entered = [i for i, r in enumerate(rows) if _insert(basis, primitive(r))]
+    free = n - len(basis)
+    if n * free > max_null_entries:
+        raise ValueError(f"the null space is limited to {max_null_entries} "
+                         f"entries, got {free} vectors of length {n}")
+    if not free:
+        return entered, []
+    # each echelon row is zero at the earlier pivots, so it re-enters as is
+    red = _reduced_basis([e for _, e in basis])
     den = math.lcm(*(abs(e[p]) for p, e in red))
     pivots = {p for p, _ in red}
-    basis: list[tuple[int, ...]] = []
+    null: list[tuple[int, ...]] = []
     for f in range(n):
         if f in pivots:
             continue
@@ -396,14 +417,17 @@ def int_nullspace(rows: Sequence[Sequence[int]],
         v[f] = den
         for p, e in red:
             v[p] = -e[f] * (den // e[p])
-        basis.append(primitive(v))
-    return basis
+        null.append(primitive(v))
+    return entered, null
 
 
 def _int_vector(v: Sequence[Fraction]) -> tuple[int, ...]:
     """v times the lcm of its denominators: a positive integer multiple."""
-    den = math.lcm(*(x.denominator for x in v))
-    return tuple(x.numerator * (den // x.denominator) for x in v)
+    ratios = [x.as_integer_ratio() for x in v]
+    den = math.lcm(*[q for _, q in ratios])
+    if den == 1:
+        return tuple([p for p, _ in ratios])
+    return tuple([p * (den // q) for p, q in ratios])
 
 
 def _int_inverse_rows(b: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:

@@ -182,6 +182,34 @@ def test_cone_past_the_pair_limit_exits_2(paths, capsys):
     assert "ray pairs" in captured.err
 
 
+OVERSIZED_CONE = """
+import resource, sys
+limit = 512 << 20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+import matsemi.cli as cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_oversized_cone_exits_2_before_allocating(paths):
+    # The null space of an empty cone in dimension n has n x n entries.
+    # The child caps its own address space, so a build that tries to
+    # allocate them fails there, not on the machine.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(matsemi.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for dim in (100_000_000, 3000):
+        k = paths(f"k{dim}.json", {"dim": dim, "rays": []})
+        for action in ("proper", "dual"):
+            start = time.perf_counter()
+            proc = subprocess.run(
+                [sys.executable, "-c", OVERSIZED_CONE, "cone", action, k],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert time.perf_counter() - start < 10
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stdout == ""
+            assert "null space" in proc.stderr
+
+
 def test_oracle_commands(paths, capsys):
     m = paths("m.json", matrix_to_json(M([[1, 0, 1], [0, 1, -1], [0, 0, 0]])))
     code, out = run(capsys, ["oracle", "signs", m])
@@ -382,6 +410,27 @@ def test_analyze_imports_only_what_it_runs(paths):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.rstrip().endswith("analyze-only-ok")
+
+
+def test_package_names_resolve_on_every_access(monkeypatch):
+    from matsemi import cones
+
+    calls = []
+    real = importlib.import_module
+
+    def recording(name, *args):
+        calls.append(name)
+        return real(name, *args)
+
+    monkeypatch.setattr(importlib, "import_module", recording)
+    assert matsemi.dual is cones.dual
+
+    def replaced(k):
+        return k
+
+    monkeypatch.setattr(cones, "dual", replaced)
+    assert matsemi.dual is replaced
+    assert calls == []
 
 
 def test_every_export_is_defined_where_the_table_says():

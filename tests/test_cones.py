@@ -235,9 +235,10 @@ def test_integer_dual_matches_fraction_reference():
         queries += [r.v for r in k.rays[:1]]
         queries += [tuple(-x for x in c) for c in ref[:1]]
         for v in queries:
-            got = contains(k, v)
-            assert got == reference_contains(k, v)
-            seen["contains"].add(got)
+            want = reference_contains(k, v)
+            for form in query_forms(v):
+                assert contains(k, form) == want, form
+            seen["contains"].add(want)
         mats = [Matrix.identity(n).scale(Fraction(rng.randint(1, 5), 3)),
                 M([[random_rational(rng, -2, 2) for _ in range(n)]
                    for _ in range(n)]),
@@ -249,6 +250,24 @@ def test_integer_dual_matches_fraction_reference():
             seen["invariant"].add(got)
     assert seen["contains"] == seen["invariant"] == {True, False}
     assert min(seen["lineality"], seen["empty"], seen["rational"]) >= 10
+    k = Cone.of(2, [[1, 0], [1, 1]])
+    for bad in ((True, 0), (1, False), (Fraction(1), True), ("1", False)):
+        with pytest.raises(TypeError):
+            contains(k, bad)
+    for short in ((1,), (Fraction(1, 2),), ("1/2",), (1, 0, 0)):
+        with pytest.raises(ValueError):
+            contains(k, short)
+
+
+def query_forms(v):
+    """v as ints (its positive multiple by the lcm of its denominators),
+    as Fractions and as 'p/q' strings: every form has v's answer."""
+    fr = tuple(Fraction(x) for x in v)
+    den = math.lcm(*(x.denominator for x in fr))
+    ints = tuple(x.numerator * (den // x.denominator) for x in fr)
+    assert all(type(x) is int for x in ints)
+    return [ints, fr, tuple(f"{x.numerator}/{x.denominator}" for x in fr),
+            list(ints)]
 
 
 def test_properness_and_extreme_rays_match_simplex_reference():
@@ -315,6 +334,51 @@ def test_dual_cache_contract():
         call()
         h1, m1 = lookups()
         assert (h1 - h0, m1 - m0) == (dh, dm)
+
+
+def test_cone_builds_share_their_parts_and_retain_little():
+    import gc
+    import os
+    import tracemalloc
+    import weakref
+
+    import matsemi
+
+    rng = random.Random(640006)
+    ks = [random_pointed_cone(rng, rng.randint(2, 4), rng.randint(1, 5))
+          for _ in range(400)]
+
+    def build(k):
+        d = dual(k)
+        return properness(k), d, dual(d), extreme_rays(k)
+
+    # The first results stay held, so every repeat finds its duals in the
+    # table; most of what the repeats retain is the dual cache they refill.
+    first = [build(k) for k in ks]
+    src = os.path.join(os.path.dirname(matsemi.__file__), "*")
+    tracemalloc.start()
+    try:
+        again = [build(k) for _ in range(2) for k in ks]
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    kept = sum(t.size for t in snapshot.filter_traces(
+        [tracemalloc.Filter(True, src)]).traces)
+    assert kept <= 400 * len(again), kept / len(again)
+    for old, new in zip(first * 2, again):
+        assert all(a is b for a, b in zip(old[:3], new[:3]))
+        assert new[3] == old[3]
+
+    for k in ks[:50]:
+        twin = Cone.of(k.dim, [r.v for r in k.rays])
+        assert twin is not k and dual(twin) is dual(k)
+    # Nothing holds this dual after the call, so the table lets it go.
+    k = Cone.of(3, [[1, 2, 3], [3, -1, 2]])
+    ref = weakref.ref(dual(k))
+    gc.collect()
+    assert ref() is None
+    assert (k.dim, cones._dual_ray_vectors(k)[1]) not in cones._DUALS
 
 
 def test_dual_below_the_pair_limit_is_unchanged():

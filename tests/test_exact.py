@@ -14,7 +14,7 @@ from matsemi import (Cone, Matrix, Scalar, algebra_dimension, canonical_ray,
                      verify_group_theorem, verify_semigroup_theorem)
 from matsemi import exact
 from matsemi.exact import (int_independent_subset, int_inverse_columns,
-                           int_nullspace, int_rank, primitive)
+                           int_nullspace, int_rank, int_span, primitive)
 from _fx import M, outer, random_int_matrix
 from _reference import (_independent_subset, _nullspace, _rref,
                         reference_classify_entries, reference_int_inverse_rows,
@@ -419,6 +419,12 @@ def test_reduced_basis_matches_fraction_rref():
         for u, v in zip(got, want):
             assert is_primitive(u) and is_positive_multiple(u, v)
             assert all(sum(a * b for a, b in zip(r, u)) == 0 for r in rows)
+        assert int_span(rows, ncols) == (int_independent_subset(rows), got)
+        entries = ncols * len(got)
+        assert int_span(rows, ncols, entries)[1] == got
+        if entries:
+            with pytest.raises(ValueError, match="null space is limited"):
+                int_span(rows, ncols, entries - 1)
     assert 0 in ranks and min(ranks) < 0  # full and deficient rank occur
 
 
