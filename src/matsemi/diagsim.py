@@ -10,9 +10,10 @@ diagonal works.
 For real input the question is one of signs only (signature
 similarity: every cycle of the support graph must have a positive sign
 product; Engel and Schneider, "Cyclic and diagonal products on a
-matrix", 1973).  Real input is therefore decided on integer entry signs:
-the propagated diagonal is +-1 and is verified entrywise, without
-forming any conjugated matrix.
+matrix", 1973).  Input is real when its projective keys have real
+width, and is then decided on the keys' signs, which are its entry
+signs: the propagated diagonal is +-1 and is verified entrywise,
+without forming any conjugated matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .exact import Matrix, ONE, Scalar, _square_size
+from .exact import (Key, Matrix, ONE, Scalar, _entry_signs,
+                    _projective_keys, _square_size)
 
 _MINUS_ONE = Scalar(-1)
 
@@ -143,21 +145,6 @@ def _edge_factor(flats, n: int, u: int, v: int, reciprocal: Callable):
     raise AssertionError("no constraint on a support edge")
 
 
-def _real_signs(ms: Sequence[Matrix]) -> Optional[list[list[int]]]:
-    """Row-major entry signs (-1, 0, 1) of each matrix, or None if an
-    entry is not real."""
-    out = []
-    for m in ms:
-        signs = []
-        for e in m.entries:
-            if e.im:
-                return None
-            p = e.re.numerator
-            signs.append((p > 0) - (p < 0))
-        out.append(signs)
-    return out
-
-
 def _signs_fit(s: Sequence[int], signs: Sequence[int], n: int) -> bool:
     """Whether the +-1 diagonal s makes the real n x n matrix with these
     row-major entry signs nonnegative: every s_i * s_j * m_ij >= 0, so
@@ -199,10 +186,16 @@ def diag_sim_nonneg(m: Matrix) -> Optional[DiagonalWitness]:
 
 def simultaneous_diag_sim(ms: Sequence[Matrix]) -> Optional[DiagonalWitness]:
     """One witness D making every D m D^{-1} nonnegative, or None."""
+    return _keyed_witness(ms, _projective_keys(ms))
+
+
+def _keyed_witness(ms: Sequence[Matrix],
+                   keys: Sequence[Key]) -> Optional[DiagonalWitness]:
+    """``simultaneous_diag_sim`` given the matrices' projective keys: on
+    their signs at real width, on the matrices' entries otherwise."""
     n = _square_size(ms)
-    signs = _real_signs(ms)
-    if signs is not None:
-        s = _sign_witness(signs, n)
+    if len(keys[0]) == n * n:
+        s = _sign_witness([_entry_signs(k) for k in keys], n)
         if s is None:
             return None
         return DiagonalWitness(tuple(ONE if x > 0 else _MINUS_ONE

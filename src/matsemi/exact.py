@@ -532,6 +532,12 @@ def _key_parts(key: Key, n: int) -> tuple[Key, Key]:
     return tuple(re), tuple(im)
 
 
+def _entry_signs(parts: Sequence[int]) -> list[int]:
+    """The signs (-1, 0, 1) of key parts: at real width, the row-major
+    entry signs of the key's matrix."""
+    return [(x > 0) - (x < 0) for x in parts]
+
+
 def rank(m: Matrix) -> int:
     """Exact rank over the Gaussian rationals."""
     key, = _projective_keys([m])

@@ -19,16 +19,16 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
-from .diagsim import (DiagonalWitness, SignDiagonal, _real_signs,
+from .diagsim import (DiagonalWitness, SignDiagonal, _keyed_witness,
                       _sign_witness, _signs_fit, conjugate, diag_sim_nonneg,
                       simultaneous_diag_sim)
-from .exact import (Matrix, Scalar, _is_monomial, _key_parts, _key_rank,
-                    _nonzero_positions, _square_size, classify_entries,
-                    matrix_product, rank)
+from .exact import (Matrix, Scalar, _entry_signs, _is_monomial, _key_parts,
+                    _key_rank, _nonzero_positions, _projective_keys,
+                    _square_size, classify_entries, matrix_product, rank)
 from .io import witness_to_json
-from .semigroup import (Caps, ProjectiveElement, generate_closure,
-                        is_irreducible, projective_canonical, rank_one_ideal,
-                        xy_decomposition)
+from .semigroup import (Caps, ProjectiveElement, SemigroupClosure,
+                        _span_dimension, generate_closure, is_irreducible,
+                        projective_canonical, rank_one_ideal, xy_decomposition)
 from .structure import (DecompositionKind, PatternDigraph,
                         classify_decomposability, scc_condensation,
                         union_pattern)
@@ -77,14 +77,14 @@ def sign_search_oracle(ms: Sequence[Matrix]) -> Optional[SignDiagonal]:
     if n > MAX_SIGN_SEARCH_N:
         raise ValueError(f"sign search is limited to n <= "
                          f"{MAX_SIGN_SEARCH_N}, got n = {n}")
-    signs = _real_signs(ms)
-    if signs is None:
+    keys = _projective_keys(ms)
+    if len(keys[0]) != n * n:
         raise ValueError("sign search requires real matrices")
     # a set bit means sign -1; vertex 0 keeps +1 in every mask
     bits = [0] + _bit_columns(n - 1)
     ok = (1 << (1 << (n - 1))) - 1
-    for sg in signs:
-        for k, s in enumerate(sg):
+    for key in keys:
+        for k, s in enumerate(_entry_signs(key)):
             if s:
                 i, j = divmod(k, n)
                 # masks where s_i * s_j = -1; a negative diagonal entry
@@ -194,9 +194,10 @@ def _hypotheses(items: tuple[tuple[str, HypothesisCheck], ...]
     return MappingProxyType(dict(items))
 
 
-def _irreducible(gens: Sequence[Matrix]) -> HypothesisCheck:
-    """The irreducibility check of both pipelines."""
-    if is_irreducible(gens):
+def _irreducible(closure: SemigroupClosure, n: int) -> HypothesisCheck:
+    """The irreducibility check of both pipelines, on the generator
+    columns that the closure multiplied by."""
+    if _span_dimension(*closure._gens) == n * n:
         return _check(True, "generated algebra has full dimension")
     return _check(False, "generated algebra spans a proper subspace")
 
@@ -215,10 +216,6 @@ def _validate_theorem_input(gens: Sequence[Matrix]) -> int:
 # routine that decides it for a Matrix, fed the key's data.
 
 
-def _entry_signs(parts: Sequence[int]) -> list[int]:
-    return [(x > 0) - (x < 0) for x in parts]
-
-
 def _nonneg_diagonal(e: ProjectiveElement, n: int) -> bool:
     re, im = _key_parts(e._key, n)
     diagonal = range(0, n * n, n + 1)
@@ -232,7 +229,7 @@ def _feasible(e: ProjectiveElement, n: int) -> bool:
     not."""
     re, im = _key_parts(e._key, n)
     if any(im):
-        return diag_sim_nonneg(e.canonical) is not None
+        return _keyed_witness([e.canonical], [e._key]) is not None
     return _sign_witness([_entry_signs(re)], n) is not None
 
 
@@ -272,27 +269,26 @@ def _report(theorem: str, hyps: Mapping[str, HypothesisCheck],
     closure, where a generator's class has the one-letter word of its
     first generator: one generator per class is tested.
 
-    The witness is re-checked, not taken on trust.  A real +-1 witness
-    on real generators is checked on the signs of their keys by the
-    routine that found it, and it keeps every zero pattern, so the
-    monomial check reads the keys too; any other witness is checked on
-    the conjugated generators.
+    The witness is found on those generators' closure keys and is
+    re-checked, not taken on trust.  At real key width it is +-1 and is
+    checked on the keys' signs by the routine that found it; it keeps
+    every zero pattern, so the monomial check reads the signs too.  At
+    block-row width it is checked on the conjugated generators.
     """
     if not all(h.holds for h in hyps.values()):
         return TheoremReport(theorem, hyps, False, False, None, None,
                              "hypotheses not established; conclusion untested")
     firsts = _generator_members(members)
     gens = [gens[e.word[0]] for e in firsts]
-    witness = simultaneous_diag_sim(gens)
+    keys = [e._key for e in firsts]
+    witness = _keyed_witness(gens, keys)
     if witness is None:
         return TheoremReport(theorem, hyps, True, False, None, None,
                              "no simultaneous diagonal similarity exists")
     n = len(witness.d)
-    parts = [_key_parts(e._key, n) for e in firsts]
-    if (all(x == 1 or x == -1 for x in witness.d)
-            and not any(any(im) for _, im in parts)):
+    if len(keys[0]) == n * n:
         s = [1 if x == 1 else -1 for x in witness.d]
-        flats = [_entry_signs(re) for re, _ in parts]
+        flats = [_entry_signs(k) for k in keys]
         conclusion = all(_signs_fit(s, sg, n) for sg in flats)
     else:
         flats = [conjugate(witness, g).entries for g in gens]
@@ -342,7 +338,7 @@ def verify_group_theorem(gens: Sequence[Matrix],
             "inverse-closed"))
     hyps["closure_is_group_within_caps"] = a
 
-    hyps["irreducible"] = _irreducible(gens)
+    hyps["irreducible"] = _irreducible(closure, n)
 
     bad = _first(members, lambda e: not _nonneg_diagonal(e, n))
     detail = ("every member has a nonnegative diagonal" if bad is None
@@ -368,7 +364,7 @@ def verify_semigroup_theorem(gens: Sequence[Matrix],
     members = closure.elements
     hyps: dict[str, HypothesisCheck] = {}
 
-    hyps["irreducible"] = _irreducible(gens)
+    hyps["irreducible"] = _irreducible(closure, n)
 
     if closure.truncated:
         hyps["members_individually_feasible"] = _check(

@@ -10,6 +10,8 @@ and the closure is a set of keys.  Each member is handed out with its
 key; its canonical form, scaled so the largest entry magnitude
 component is 1, is built the first time a caller reads it.  That keeps
 closures finite in the cases of interest and keeps entry sizes bounded.
+A closure also keeps the generator columns it multiplied by, so the
+theorem pipelines span the generated algebra without keying again.
 Closures that hit a cap are marked truncated and no downstream check is
 allowed to treat them as complete.
 """
@@ -238,12 +240,15 @@ def generate_closure(gens: Sequence[Matrix],
             words[c] = _extend_word(word, gi)
             order.append(c)
     memo: dict = {}
-    return SemigroupClosure(
+    closure = SemigroupClosure(
         elements=tuple(ProjectiveElement._of_key(c, words[c], n, memo)
                        for c in order),
         truncated=truncated,
         caps=caps,
     )
+    # outside the fields: n, key width and columns, for _span_dimension
+    object.__setattr__(closure, "_gens", (n, len(gkeys[0]) // n, gcols))
+    return closure
 
 
 def rank_one_ideal(closure: SemigroupClosure) -> tuple[ProjectiveElement, ...]:
@@ -269,8 +274,15 @@ def algebra_dimension(gens: Sequence[Matrix]) -> int:
     field extension.
     """
     n = _square_size(gens)
-    *gkeys, identity = _projective_keys([*gens, Matrix.identity(n)])
-    gcols = [_key_columns(c, n) for c in gkeys]
+    gkeys = _projective_keys(gens)
+    return _span_dimension(n, len(gkeys[0]) // n,
+                           [_key_columns(c, n) for c in gkeys])
+
+
+def _span_dimension(n: int, w: int, gcols: Sequence[KeyColumns]) -> int:
+    """``algebra_dimension`` of the n x n generators whose keys of width
+    w have these columns."""
+    identity = tuple(int(i == j) for i in range(n) for j in range(w))
     dim_target = len(identity)
     basis: Basis = []
 

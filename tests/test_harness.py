@@ -210,6 +210,11 @@ def test_semigroup_pipeline_gates_on_truncation():
                                               max_word_length=40))
     h = rep.hypotheses["members_individually_feasible"]
     assert not h.holds and "truncated" in h.detail
+    # two members of five generator classes: irreducibility still reads
+    # every generator, not the members
+    rep = verify_semigroup_theorem(gens, Caps(max_elements=2))
+    assert rep.hypotheses["irreducible"].holds
+    assert not rep.hypotheses["members_individually_feasible"].holds
 
 
 PLANT_CAPS = Caps(max_elements=300, max_word_length=8)
@@ -312,16 +317,25 @@ def test_group_report_on_infeasible_pair():
 
 def test_report_rechecks_the_witness(monkeypatch):
     # the conclusion is verified, not taken from the solver: a witness
-    # that leaves a negative entry falsifies the run
+    # that leaves a negative entry (real keys, checked on their signs)
+    # or a non-real one (Gaussian keys, checked on the conjugates)
+    # falsifies the run
     import matsemi.harness as h
 
-    monkeypatch.setattr(h, "simultaneous_diag_sim",
-                        lambda gens: DiagonalWitness((Scalar(1), Scalar(1))))
-    gens = [M([[0, -1], [1, 0]])]
-    rep = _report("Group", {"given": HypothesisCheck(True, "assumed")}, gens,
-                  generate_closure(gens).elements, True)
-    assert rep.falsified and not rep.conclusion_holds
-    assert rep.monomial_check is True
+    widths = []
+
+    def wrong(gens, keys):
+        widths.append(len(keys[0]))
+        return DiagonalWitness((Scalar(1), Scalar(1)))
+
+    monkeypatch.setattr(h, "_keyed_witness", wrong)
+    i = Scalar(0, 1)
+    for gens in ([M([[0, -1], [1, 0]])], [M([[0, i], [i, 0]])]):
+        rep = _report("Group", {"given": HypothesisCheck(True, "assumed")},
+                      gens, generate_closure(gens).elements, True)
+        assert rep.falsified and not rep.conclusion_holds
+        assert rep.monomial_check is True
+    assert widths == [4, 8]
 
 
 
@@ -421,6 +435,51 @@ def test_real_pipelines_build_no_canonical_matrix(monkeypatch):
         gens, _ = plant(rng, rng.randint(2, 4))
         applicable += verify(gens, PLANT_CAPS).applicable
     assert applicable >= 10
+
+
+def test_pipeline_ops_key_their_generators_once(monkeypatch):
+    # the closure keys the generator set once, and its columns feed the
+    # irreducibility check and its keys the witness, on real and
+    # Gaussian sets alike
+    import matsemi.diagsim as ds
+    import matsemi.exact as ex
+    import matsemi.harness as h
+    import matsemi.semigroup as sg
+
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    keys = counting("keys", ex._projective_keys)
+    for mod in (ex, sg, ds, h):
+        monkeypatch.setattr(mod, "_projective_keys", keys, raising=False)
+    monkeypatch.setattr(sg, "_key_columns",
+                        counting("columns", sg._key_columns))
+    monkeypatch.setattr(h, "generate_closure",
+                        counting("closure", h.generate_closure))
+    rng = random.Random(640008)
+    ops = []
+    for k in range(48):
+        group = k % 2 == 0
+        plant = plant_group_instance if group else plant_semigroup_instance
+        gens, _ = plant(rng, rng.randint(2, 4))
+        ops.append((gens, verify_group_theorem if group
+                    else verify_semigroup_theorem))
+    ops += [(gens, verify) for gens, verify, _ in _conjugated_plants(
+        7, 30, lambda rng: rng.choice(PHASES))]
+    gaussian = applicable = 0
+    for gens, verify in ops:
+        calls.clear()
+        applicable += verify(gens, PLANT_CAPS).applicable
+        assert sorted(calls) == ["closure"] + ["columns"] * len(gens) \
+            + ["keys"]
+        gaussian += any(e.im for g in gens for e in g.entries)
+    assert gaussian >= 20 and applicable >= 20
+
 
 def test_reports_share_their_parts_and_retain_little():
     import gc

@@ -147,15 +147,15 @@ def test_sign_search_mask_is_first_feasible():
 
 def test_sign_search_stops_once_no_mask_is_left(monkeypatch):
     # the first matrix has a negative diagonal entry, so the search must
-    # return without reading the sign rows of the later matrices
+    # return without reading the signs of the later matrices' keys
     read = []
 
-    def sign_rows(ms):
-        for k, _ in enumerate(ms):
-            read.append(k)
-            yield [1, 0, 0, -1] if k == 0 else [0, 1, 1, 0]
+    def entry_signs(key):
+        k = len(read)
+        read.append(k)
+        return [1, 0, 0, -1] if k == 0 else [0, 1, 1, 0]
 
-    monkeypatch.setattr(harness, "_real_signs", sign_rows)
+    monkeypatch.setattr(harness, "_entry_signs", entry_signs)
     ms = [flat_matrix([0, 1, 1, 0], 2)] * 3
     assert sign_search_oracle(ms) is None
     assert read == [0]
