@@ -59,10 +59,12 @@ class DiagonalWitness:
             raise ValueError("diagonal entries must be nonzero")
 
     def signs(self) -> Optional[SignDiagonal]:
-        """The +-1 sign pattern, if every entry is real.  None otherwise."""
+        """The +-1 sign pattern times the sign of d[0] (D and -D
+        conjugate alike), if every entry is real.  None otherwise."""
         if any(not x.is_real for x in self.d):
             return None
-        return SignDiagonal(tuple(1 if x.re > 0 else -1 for x in self.d))
+        d0 = self.d[0].re
+        return SignDiagonal(tuple(1 if x.re * d0 > 0 else -1 for x in self.d))
 
 
 def conjugate(w: DiagonalWitness, m: Matrix) -> Matrix:

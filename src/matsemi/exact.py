@@ -377,22 +377,14 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(int_independent_subset(rows))
 
 
-def int_nullspace(rows: Sequence[Sequence[int]],
-                  n: int) -> list[tuple[int, ...]]:
-    """Primitive basis of {x in Z^n : rows @ x = 0}, one per free column.
-
-    The vector for free column f is the rational reduced-row-echelon
-    basis vector (1 at f, minus the reduced column at the pivots)
-    times the positive lcm L of the |D_i|, then made primitive.
-    """
-    return int_span(rows, n)[1]
-
-
 def int_span(rows: Sequence[Sequence[int]], n: int,
              max_null_entries: float = math.inf,
              ) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The indices of ``int_independent_subset`` and the basis of
-    ``int_nullspace``, from one echelon basis of the rows.
+    """The indices of ``int_independent_subset`` and a primitive basis
+    of {x in Z^n : rows @ x = 0}, from one echelon basis of the rows:
+    for each free column f, the rational reduced-row-echelon basis
+    vector (1 at f, minus the reduced column at the pivots) times the
+    positive lcm of the |D_i| of ``_reduced_basis``, made primitive.
 
     Raises ValueError before building the null-space basis if it would
     hold more than max_null_entries entries: n per free column.

@@ -194,10 +194,11 @@ def _hypotheses(items: tuple[tuple[str, HypothesisCheck], ...]
     return MappingProxyType(dict(items))
 
 
-def _irreducible(closure: SemigroupClosure, n: int) -> HypothesisCheck:
+def _irreducible(closure: SemigroupClosure) -> HypothesisCheck:
     """The irreducibility check of both pipelines, on the generator
-    columns that the closure multiplied by."""
-    if _span_dimension(*closure._gens) == n * n:
+    record that the closure multiplied by."""
+    record = closure._gens
+    if _span_dimension(record) == record.n ** 2:
         return _check(True, "generated algebra has full dimension")
     return _check(False, "generated algebra spans a proper subspace")
 
@@ -244,12 +245,6 @@ def _many_blocks(e: ProjectiveElement, n: int) -> bool:
                             ).scc_count > 2
 
 
-def _generator_members(members: Sequence[ProjectiveElement]
-                       ) -> list[ProjectiveElement]:
-    """The members with one-letter words: one per generator class."""
-    return [e for e in members if len(e.word) == 1]
-
-
 def _first(members: Sequence[ProjectiveElement],
            test: Callable[[ProjectiveElement], bool]) -> Optional[int]:
     """Index of the first member passing the test, or None."""
@@ -257,30 +252,27 @@ def _first(members: Sequence[ProjectiveElement],
 
 
 def _report(theorem: str, hyps: Mapping[str, HypothesisCheck],
-            gens: Sequence[Matrix], members: Sequence[ProjectiveElement],
+            gens: Sequence[Matrix], closure: SemigroupClosure,
             monomial: bool) -> TheoremReport:
     """A pipeline's report, its conclusion tested on the generators.
 
     Conjugation by a diagonal D is multiplicative.  The generators are
     members, each member is a positive multiple of a product of them,
     and products of nonnegative (monomial) matrices are nonnegative
-    (monomial), so D makes all ``members`` so exactly when it makes all
-    generators so.  When the hypotheses hold, ``members`` is the whole
-    closure, where a generator's class has the one-letter word of its
-    first generator: one generator per class is tested.
+    (monomial), so D makes every member of ``closure``, the closure of
+    ``gens``, so exactly when it makes every generator so.
 
-    The witness is found on those generators' closure keys and is
-    re-checked, not taken on trust.  At real key width it is +-1 and is
-    checked on the keys' signs by the routine that found it; it keeps
-    every zero pattern, so the monomial check reads the signs too.  At
-    block-row width it is checked on the conjugated generators.
+    The witness is found on every generator, from ``gens`` and the keys
+    of the closure's ``_Generators``, and is re-checked, not taken on
+    trust.  At real key width it is +-1 and is checked on the keys'
+    signs by the routine that found it; it keeps every zero pattern, so
+    the monomial check reads the signs too.  At block-row width it is
+    checked on the conjugated generators.
     """
     if not all(h.holds for h in hyps.values()):
         return TheoremReport(theorem, hyps, False, False, None, None,
                              "hypotheses not established; conclusion untested")
-    firsts = _generator_members(members)
-    gens = [gens[e.word[0]] for e in firsts]
-    keys = [e._key for e in firsts]
+    keys = closure._gens.keys
     witness = _keyed_witness(gens, keys)
     if witness is None:
         return TheoremReport(theorem, hyps, True, False, None, None,
@@ -293,7 +285,7 @@ def _report(theorem: str, hyps: Mapping[str, HypothesisCheck],
     else:
         flats = [conjugate(witness, g).entries for g in gens]
         conclusion = all(x.is_nonneg_real for f in flats for x in f)
-    notes = f"witness verified on {len(members)} members"
+    notes = f"witness verified on {len(closure.elements)} members"
     monomial_check = None
     if monomial:
         monomial_check = all(_is_monomial(_nonzero_positions(f, n), n)
@@ -329,8 +321,7 @@ def verify_group_theorem(gens: Sequence[Matrix],
         a = _check(False, (
             f"closure truncated at {len(members)} elements; "
             "group property not established"))
-    elif not all(_key_rank(e._key, n, n) == n
-                 for e in _generator_members(members)):
+    elif not all(_key_rank(k, n, n) == n for k in closure._gens.keys):
         a = _check(False, "a generator is singular")
     else:
         a = _check(True, (
@@ -338,7 +329,7 @@ def verify_group_theorem(gens: Sequence[Matrix],
             "inverse-closed"))
     hyps["closure_is_group_within_caps"] = a
 
-    hyps["irreducible"] = _irreducible(closure, n)
+    hyps["irreducible"] = _irreducible(closure)
 
     bad = _first(members, lambda e: not _nonneg_diagonal(e, n))
     detail = ("every member has a nonnegative diagonal" if bad is None
@@ -347,7 +338,7 @@ def verify_group_theorem(gens: Sequence[Matrix],
         detail += " (only the truncated closure was checked)"
     hyps["nonneg_diagonals"] = _check(bad is None, detail)
 
-    return _report("Group", hyps, gens, members, True)
+    return _report("Group", hyps, gens, closure, True)
 
 
 def verify_semigroup_theorem(gens: Sequence[Matrix],
@@ -364,7 +355,7 @@ def verify_semigroup_theorem(gens: Sequence[Matrix],
     members = closure.elements
     hyps: dict[str, HypothesisCheck] = {}
 
-    hyps["irreducible"] = _irreducible(closure, n)
+    hyps["irreducible"] = _irreducible(closure)
 
     if closure.truncated:
         hyps["members_individually_feasible"] = _check(
@@ -392,7 +383,7 @@ def verify_semigroup_theorem(gens: Sequence[Matrix],
                 "two components")
 
     return _report("Semigroup2x2" if n == 2 else "Semigroup", hyps, gens,
-                   members, False)
+                   closure, False)
 
 
 # -- planted instances -----------------------------------------------------

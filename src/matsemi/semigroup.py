@@ -10,8 +10,9 @@ and the closure is a set of keys.  Each member is handed out with its
 key; its canonical form, scaled so the largest entry magnitude
 component is 1, is built the first time a caller reads it.  That keeps
 closures finite in the cases of interest and keeps entry sizes bounded.
-A closure also keeps the generator columns it multiplied by, so the
-theorem pipelines span the generated algebra without keying again.
+A generator set becomes integers once, as a ``_Generators`` record; a
+closure keeps the one it multiplied by, so the theorem pipelines read
+their generators from it without keying again.
 Closures that hit a cap are marked truncated and no downstream check is
 allowed to treat them as complete.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exact import (Basis, Key, Matrix, Scalar, _insert, _key_rank,
                     _projective_keys, _rotation, _square_size, primitive,
@@ -64,6 +65,21 @@ def _key_columns(key: Key, n: int) -> KeyColumns:
             for i in range(0, nw, w):
                 terms[i + j].append((i + k, u))
     return tuple(map(tuple, terms))
+
+
+class _Generators(NamedTuple):
+    """A generator set as integers: its size n, its projective keys in
+    input order (repeats included, one width) and their columns."""
+
+    n: int
+    keys: list[Key]
+    columns: list[KeyColumns]
+
+    @classmethod
+    def of(cls, gens: Sequence[Matrix]) -> "_Generators":
+        n = _square_size(gens)
+        keys = _projective_keys(gens)
+        return cls(n, keys, [_key_columns(k, n) for k in keys])
 
 
 def _key_product(a: Key, bcols: KeyColumns) -> Key:
@@ -206,12 +222,12 @@ def generate_closure(gens: Sequence[Matrix],
     canonical form only when it is read.  Discovery order is by word
     length, then lexicographic word, so runs are reproducible.  The
     first product that would exceed a cap marks the closure truncated
-    and ends the search.
+    and ends the search.  The closure keeps its ``_Generators`` outside
+    its fields, so equality and repr do not see it.
     """
-    n = _square_size(gens)
+    record = _Generators.of(gens)
+    n, gkeys, gcols = record
     product = _key_product
-    gkeys = _projective_keys(gens)
-    gcols = [_key_columns(c, n) for c in gkeys]
     words: dict[Key, tuple[int, ...]] = {}
     truncated = False
     for gi, c in enumerate(gkeys):
@@ -246,8 +262,7 @@ def generate_closure(gens: Sequence[Matrix],
         truncated=truncated,
         caps=caps,
     )
-    # outside the fields: n, key width and columns, for _span_dimension
-    object.__setattr__(closure, "_gens", (n, len(gkeys[0]) // n, gcols))
+    object.__setattr__(closure, "_gens", record)
     return closure
 
 
@@ -273,15 +288,13 @@ def algebra_dimension(gens: Sequence[Matrix]) -> int:
     rationals because ranks of rational matrices do not change under
     field extension.
     """
-    n = _square_size(gens)
-    gkeys = _projective_keys(gens)
-    return _span_dimension(n, len(gkeys[0]) // n,
-                           [_key_columns(c, n) for c in gkeys])
+    return _span_dimension(_Generators.of(gens))
 
 
-def _span_dimension(n: int, w: int, gcols: Sequence[KeyColumns]) -> int:
-    """``algebra_dimension`` of the n x n generators whose keys of width
-    w have these columns."""
+def _span_dimension(record: _Generators) -> int:
+    """``algebra_dimension`` of the generators with this record."""
+    n, keys, gcols = record
+    w = len(keys[0]) // n
     identity = tuple(int(i == j) for i in range(n) for j in range(w))
     dim_target = len(identity)
     basis: Basis = []

@@ -260,7 +260,8 @@ def reference_int_gauss_jordan(
 
 def reference_int_nullspace(rows: Sequence[Sequence[int]],
                             n: int) -> list[tuple[int, ...]]:
-    """``int_nullspace`` read off ``reference_int_gauss_jordan``."""
+    """The null-space basis of ``int_span``, read off
+    ``reference_int_gauss_jordan``."""
     red, pivots = reference_int_gauss_jordan(rows)
     den = math.lcm(*(abs(red[i][p]) for i, p in enumerate(pivots)))
     pivset = set(pivots)

@@ -24,6 +24,10 @@ def test_witness_validation_and_signs():
         DiagonalWitness((Scalar(1), Scalar(0)))
     w = DiagonalWitness((Scalar(2), Scalar(-3)))
     assert w.signs().signs == (1, -1)
+    # D and -D conjugate alike, so a negative lead flips the pattern
+    assert DiagonalWitness((Scalar(-1), Scalar(1))).signs().signs == (1, -1)
+    w = DiagonalWitness((Scalar(Fraction(-1, 2)), Scalar(-3), Scalar(5)))
+    assert w.signs().signs == (1, 1, -1)
     wc = DiagonalWitness((Scalar(1), Scalar(0, 1)))
     assert wc.signs() is None
 

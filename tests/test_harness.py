@@ -246,13 +246,14 @@ def _reference_for(gens, rep, group):
                                      monomial=group)
 
 
-def test_report_matches_member_reference_on_real_plants():
-    def signed_positive(rng):
-        return Scalar(rng.choice((1, -1))
-                      * Fraction(rng.randint(1, 3), rng.randint(1, 3)))
+def _signed_positive(rng):
+    return Scalar(rng.choice((1, -1))
+                  * Fraction(rng.randint(1, 3), rng.randint(1, 3)))
 
+
+def test_report_matches_member_reference_on_real_plants():
     applicable = 0
-    for gens, verify, group in _conjugated_plants(7, 120, signed_positive):
+    for gens, verify, group in _conjugated_plants(7, 120, _signed_positive):
         rep = verify(gens, PLANT_CAPS)
         _, want = _reference_for(gens, rep, group)
         assert rep.to_json() == want.to_json()
@@ -278,12 +279,38 @@ def test_report_matches_member_reference_on_gaussian_plants():
     assert applicable >= 5
 
 
+def test_report_matches_member_reference_with_repeated_classes():
+    # a copy and positive multiples of random generators, inserted
+    # anywhere, also ahead of the generator's other occurrences: every
+    # generator is tested, and repeats of a class change no verdict
+    rng = random.Random(2028)
+    applicable = early = 0
+    for entry, real in ((_signed_positive, True),
+                        (lambda rng: rng.choice(PHASES), False)):
+        for gens, verify, group in _conjugated_plants(11, 80, entry):
+            for c in (1, 2, Fraction(1, 3)):
+                g = rng.choice(gens)
+                at = rng.randint(0, len(gens))
+                early += at <= gens.index(g)
+                gens.insert(at, g.scale(c))
+            rep = verify(gens, PLANT_CAPS)
+            _, want = _reference_for(gens, rep, group)
+            got = rep.to_json()
+            ref = want.to_json()
+            if not real:
+                assert ((got.pop("witness") is None)
+                        == (ref.pop("witness") is None))
+            assert got == ref
+            applicable += rep.applicable
+    assert applicable >= 40 and early >= 150
+
+
 def _group_report(gens):
     """The Group conclusion on gens with every hypothesis assumed, and
     the member-quantified reference for it."""
     hyps = {"given": HypothesisCheck(True, "assumed for the test")}
     closure = generate_closure(gens)
-    rep = _report("Group", hyps, gens, closure.elements, True)
+    rep = _report("Group", hyps, gens, closure, True)
     assert rep.to_json() == reference_report("Group", hyps, closure,
                                              monomial=True).to_json()
     return rep
@@ -332,7 +359,7 @@ def test_report_rechecks_the_witness(monkeypatch):
     i = Scalar(0, 1)
     for gens in ([M([[0, -1], [1, 0]])], [M([[0, i], [i, 0]])]):
         rep = _report("Group", {"given": HypothesisCheck(True, "assumed")},
-                      gens, generate_closure(gens).elements, True)
+                      gens, generate_closure(gens), True)
         assert rep.falsified and not rep.conclusion_holds
         assert rep.monomial_check is True
     assert widths == [4, 8]
