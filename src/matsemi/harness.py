@@ -4,9 +4,10 @@ The oracles re-answer questions the structured algorithms answer, by
 brute force, so the two routes can be compared on random instances.
 Each runs its own bit-parallel search over every candidate mask, laid
 out by ``_bit_columns``, and decodes its answer with the same columns.
-The theorem pipelines check hypotheses first and only then test the
-conclusion; a run whose hypotheses hold but whose conclusion fails is a
-falsification event and is expected never to occur.
+The theorem pipelines find the generators' witness once, let it settle
+the member facts it implies, and report the conclusion only when every
+hypothesis holds; a run whose hypotheses hold but whose conclusion
+fails is a falsification event and is expected never to occur.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .diagsim import (DiagonalWitness, SignDiagonal, _keyed_witness,
                       _sign_witness, _signs_fit, conjugate, diag_sim_nonneg,
@@ -149,7 +150,8 @@ class HypothesisCheck:
 @dataclass(frozen=True, slots=True)
 class TheoremReport:
     """A pipeline's verdict.  ``hypotheses`` is a read-only mapping, and
-    reports with equal hypotheses or notes share one object for them."""
+    reports with equal hypotheses or notes share one object for them;
+    the pipelines hand out equal reports as one object."""
 
     theorem: str
     hypotheses: Mapping[str, HypothesisCheck]
@@ -181,8 +183,9 @@ class TheoremReport:
         }
 
 
-# Callers keep reports in bulk, and most of them repeat a few checks and
-# hypothesis maps, so equal ones are handed out as one shared object.
+# Callers keep reports in bulk, and most of them repeat a few checks,
+# hypothesis maps and whole reports, so equal ones are handed out as one
+# shared object.
 @functools.lru_cache(maxsize=4096)
 def _check(holds: bool, detail: str) -> HypothesisCheck:
     return HypothesisCheck(holds, detail)
@@ -192,6 +195,13 @@ def _check(holds: bool, detail: str) -> HypothesisCheck:
 def _hypotheses(items: tuple[tuple[str, HypothesisCheck], ...]
                 ) -> Mapping[str, HypothesisCheck]:
     return MappingProxyType(dict(items))
+
+
+@functools.lru_cache(maxsize=4096)
+def _shared_report(theorem: str,
+                   items: tuple[tuple[str, HypothesisCheck], ...],
+                   *rest) -> TheoremReport:
+    return TheoremReport(theorem, dict(items), *rest)
 
 
 def _irreducible(closure: SemigroupClosure) -> HypothesisCheck:
@@ -251,40 +261,69 @@ def _first(members: Sequence[ProjectiveElement],
     return next((idx for idx, e in enumerate(members) if test(e)), None)
 
 
-def _report(theorem: str, hyps: Mapping[str, HypothesisCheck],
-            gens: Sequence[Matrix], closure: SemigroupClosure,
-            monomial: bool) -> TheoremReport:
-    """A pipeline's report, its conclusion tested on the generators.
+class _GeneratorWitness(NamedTuple):
+    """The generators' simultaneous witness (None if the solver found
+    none), whether it re-checks on every generator, and the entries it
+    was checked on: each generator key's signs at real key width, each
+    conjugated generator's entries at block-row width."""
+
+    witness: Optional[DiagonalWitness]
+    fits: bool
+    flats: list
+
+
+def _generator_witness(gens: Sequence[Matrix],
+                       closure: SemigroupClosure) -> _GeneratorWitness:
+    """The witness of ``gens``, found once and re-checked, not taken on
+    trust, on every generator: from ``gens`` and the keys of the
+    closure's ``_Generators``, repeats included.
 
     Conjugation by a diagonal D is multiplicative.  The generators are
     members, each member is a positive multiple of a product of them,
     and products of nonnegative (monomial) matrices are nonnegative
     (monomial), so D makes every member of ``closure``, the closure of
-    ``gens``, so exactly when it makes every generator so.
+    ``gens``, so exactly when it makes every generator so.  A witness
+    that fits therefore also gives every member a nonnegative diagonal
+    and makes every member feasible on its own.
 
-    The witness is found on every generator, from ``gens`` and the keys
-    of the closure's ``_Generators``, and is re-checked, not taken on
-    trust.  At real key width it is +-1 and is checked on the keys'
+    At real key width the witness is +-1 and is checked on the keys'
     signs by the routine that found it; it keeps every zero pattern, so
-    the monomial check reads the signs too.  At block-row width it is
+    the signs also serve the monomial check.  At block-row width it is
     checked on the conjugated generators.
     """
-    if not all(h.holds for h in hyps.values()):
-        return TheoremReport(theorem, hyps, False, False, None, None,
-                             "hypotheses not established; conclusion untested")
     keys = closure._gens.keys
     witness = _keyed_witness(gens, keys)
     if witness is None:
-        return TheoremReport(theorem, hyps, True, False, None, None,
-                             "no simultaneous diagonal similarity exists")
+        return _GeneratorWitness(None, False, [])
     n = len(witness.d)
     if len(keys[0]) == n * n:
         s = [1 if x == 1 else -1 for x in witness.d]
         flats = [_entry_signs(k) for k in keys]
-        conclusion = all(_signs_fit(s, sg, n) for sg in flats)
+        fits = all(_signs_fit(s, sg, n) for sg in flats)
     else:
         flats = [conjugate(witness, g).entries for g in gens]
-        conclusion = all(x.is_nonneg_real for f in flats for x in f)
+        fits = all(x.is_nonneg_real for f in flats for x in f)
+    return _GeneratorWitness(witness, fits, flats)
+
+
+def _report(theorem: str, hyps: Mapping[str, HypothesisCheck],
+            closure: SemigroupClosure, checked: _GeneratorWitness,
+            monomial: bool) -> TheoremReport:
+    """A pipeline's report, its conclusion read from the generators'
+    checked witness (``_generator_witness``), which holds for every
+    member of ``closure`` exactly when it fits every generator.  No
+    witness is solved for here.
+    """
+    items = tuple(hyps.items())
+    if not all(h.holds for h in hyps.values()):
+        return _shared_report(theorem, items, False, False, None, None,
+                              "hypotheses not established; conclusion "
+                              "untested")
+    witness, conclusion, flats = checked
+    if witness is None:
+        return _shared_report(theorem, items, True, False, None, None,
+                              "no simultaneous diagonal similarity exists")
+    n = len(witness.d)
     notes = f"witness verified on {len(closure.elements)} members"
     monomial_check = None
     if monomial:
@@ -293,8 +332,8 @@ def _report(theorem: str, hyps: Mapping[str, HypothesisCheck],
         conclusion = conclusion and monomial_check
         if not monomial_check:
             notes += "; a conjugated member is not monomial"
-    return TheoremReport(theorem, hyps, True, conclusion, witness,
-                         monomial_check, notes)
+    return _shared_report(theorem, items, True, conclusion, witness,
+                          monomial_check, notes)
 
 
 def verify_group_theorem(gens: Sequence[Matrix],
@@ -306,6 +345,9 @@ def verify_group_theorem(gens: Sequence[Matrix],
     invertible matrices; the generators act irreducibly; every closure
     member has a nonnegative diagonal.  When all hold, one witness must
     make every generator nonnegative and monomial (see ``_report``).
+    A witness that fits every generator settles the diagonals: it makes
+    every member nonnegative and keeps its diagonal, so the members are
+    scanned only when the generators have none.
 
     A complete closure of invertible classes is a group: the powers of
     a member g fall in finitely many classes, so g^k = c * g^l for some
@@ -331,14 +373,16 @@ def verify_group_theorem(gens: Sequence[Matrix],
 
     hyps["irreducible"] = _irreducible(closure)
 
-    bad = _first(members, lambda e: not _nonneg_diagonal(e, n))
+    checked = _generator_witness(gens, closure)
+    bad = None if checked.fits else _first(
+        members, lambda e: not _nonneg_diagonal(e, n))
     detail = ("every member has a nonnegative diagonal" if bad is None
               else f"member {bad} has a negative or non-real diagonal entry")
     if closure.truncated:
         detail += " (only the truncated closure was checked)"
     hyps["nonneg_diagonals"] = _check(bad is None, detail)
 
-    return _report("Group", hyps, gens, closure, True)
+    return _report("Group", hyps, closure, checked, True)
 
 
 def verify_semigroup_theorem(gens: Sequence[Matrix],
@@ -349,6 +393,9 @@ def verify_semigroup_theorem(gens: Sequence[Matrix],
 
     For n = 2 the block-structure hypothesis is skipped (every 2x2
     matrix has at most two components), hence the distinct theorem id.
+    A witness that fits every generator makes every member nonnegative,
+    so it settles member feasibility on a complete closure; the members
+    are scanned only when the generators have none.
     """
     n = _validate_theorem_input(gens)
     closure = generate_closure(gens, caps)
@@ -357,12 +404,14 @@ def verify_semigroup_theorem(gens: Sequence[Matrix],
 
     hyps["irreducible"] = _irreducible(closure)
 
+    checked = _generator_witness(gens, closure)
     if closure.truncated:
         hyps["members_individually_feasible"] = _check(
             False, (f"closure truncated at {len(members)} elements; "
                     "member quantification not established"))
     else:
-        infeasible = _first(members, lambda e: not _feasible(e, n))
+        infeasible = None if checked.fits else _first(
+            members, lambda e: not _feasible(e, n))
         hyps["members_individually_feasible"] = _check(
             infeasible is None,
             f"all {len(members)} members feasible" if infeasible is None
@@ -382,8 +431,8 @@ def verify_semigroup_theorem(gens: Sequence[Matrix],
                 f"member {offender} has rank >= 2 and more than "
                 "two components")
 
-    return _report("Semigroup2x2" if n == 2 else "Semigroup", hyps, gens,
-                   closure, False)
+    return _report("Semigroup2x2" if n == 2 else "Semigroup", hyps,
+                   closure, checked, False)
 
 
 # -- planted instances -----------------------------------------------------

@@ -5,11 +5,13 @@ package cares about (signs, zero patterns, diagonal similarity), so
 closures are computed projectively.  Inside, every positive-scaling
 class is represented by its projective key from :mod:`matsemi.exact`,
 of the width chosen once for the generator set.  Products of keys are
-plain integer arithmetic on each generator's nonzero image columns,
-and the closure is a set of keys.  Each member is handed out with its
-key; its canonical form, scaled so the largest entry magnitude
-component is 1, is built the first time a caller reads it.  That keeps
-closures finite in the cases of interest and keeps entry sizes bounded.
+plain integer arithmetic: the left factor's nonzero parts times each
+generator's nonzero image rows, so zeros on either side cost nothing.
+The closure is a set of keys, grown by one generator per class.  Each
+member is handed out with its key; its canonical form, scaled so the
+largest entry magnitude component is 1, is built the first time a
+caller reads it.  That keeps closures finite in the cases of interest
+and keeps entry sizes bounded.
 A generator set becomes integers once, as a ``_Generators`` record; a
 closure keeps the one it multiplied by, so the theorem pipelines read
 their generators from it without keying again.
@@ -41,56 +43,62 @@ class Caps:
             raise ValueError("caps must be positive")
 
 
-KeyColumns = tuple[tuple[tuple[int, int], ...], ...]
+KeyRows = tuple[tuple[tuple[int, int], ...], ...]
+Nonzeros = list[tuple[int, int]]
 
 
-def _key_columns(key: Key, n: int) -> KeyColumns:
-    """The nonzero entries of each column of the w x w image of an
-    n x n matrix's key, placed for every row of a left factor.
+def _key_rows(key: Key, n: int) -> KeyRows:
+    """The nonzero entries of each row of the w x w image of an n x n
+    matrix's key, placed for every row of a left factor.
 
     The image is the key itself at real width (w = n) and the key over
-    its rotation at block-row width (w = 2n).  Entry (i, j) of a product
-    lists the pairs ``(i*w + k, f_kj)`` for the nonzero entries f_kj of
-    column j of the image: the offset in the left key of the part that
-    f_kj multiplies, and f_kj itself.  Generators are turned into
-    columns once, so a product term is one multiply-add.
+    its rotation at block-row width (w = 2n).  Part p = i*w + k of a
+    left key multiplies row k of the image into row i of the product,
+    so row p lists the pairs ``(i*w + j, f_kj)`` for the nonzero entries
+    f_kj of that row: the offset in the product that the term adds to,
+    and f_kj itself.  Generators are turned into rows once, so a product
+    term is one multiply-add, and a zero part of the left key costs
+    nothing.
     """
     w = len(key) // n
     image = key if w == n else key + _rotation(key, n)
     nw = n * w
-    terms: list[list[tuple[int, int]]] = [[] for _ in range(nw)]
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(nw)]
     for kj, u in enumerate(image):
         if u:
             k, j = divmod(kj, w)
             for i in range(0, nw, w):
-                terms[i + j].append((i + k, u))
-    return tuple(map(tuple, terms))
+                rows[i + k].append((i + j, u))
+    return tuple(map(tuple, rows))
+
+
+def _nonzeros(key: Key) -> Nonzeros:
+    """The (index, part) pairs of a key's nonzero parts."""
+    return [(p, x) for p, x in enumerate(key) if x]
 
 
 class _Generators(NamedTuple):
     """A generator set as integers: its size n, its projective keys in
-    input order (repeats included, one width) and their columns."""
+    input order (repeats included, one width) and their rows."""
 
     n: int
     keys: list[Key]
-    columns: list[KeyColumns]
+    rows: list[KeyRows]
 
     @classmethod
     def of(cls, gens: Sequence[Matrix]) -> "_Generators":
         n = _square_size(gens)
         keys = _projective_keys(gens)
-        return cls(n, keys, [_key_columns(k, n) for k in keys])
+        return cls(n, keys, [_key_rows(k, n) for k in keys])
 
 
-def _key_product(a: Key, bcols: KeyColumns) -> Key:
-    """Key of the product of the matrix with key a and the one whose
-    key has columns bcols."""
-    out: list[int] = []
-    for terms in bcols:
-        s = 0
-        for k, u in terms:
-            s += a[k] * u
-        out.append(s)
+def _key_product(a: Nonzeros, brows: KeyRows) -> Key:
+    """Key of the product of the matrix whose key has the nonzero parts
+    a (``_nonzeros``) and the one whose key has rows brows."""
+    out = [0] * len(brows)
+    for p, x in a:
+        for o, u in brows[p]:
+            out[o] += x * u
     return primitive(out)
 
 
@@ -218,15 +226,20 @@ def generate_closure(gens: Sequence[Matrix],
     positive-scaling class of the semigroup: scalars commute past
     products.  The search runs on projective keys of the generator
     set's width, so each step is one integer product and one gcd
-    division; members keep their keys and build their max-part-1
-    canonical form only when it is read.  Discovery order is by word
-    length, then lexicographic word, so runs are reproducible.  The
-    first product that would exceed a cap marks the closure truncated
-    and ends the search.  The closure keeps its ``_Generators`` outside
-    its fields, so equality and repr do not see it.
+    division.  A member's nonzero parts are listed once and go into
+    every product it is the left factor of.  Members are multiplied by
+    the first occurrence of each generator class only: a repeat gives
+    the class of its first occurrence's product, which is tried first,
+    so it could neither add a member nor end the search.  Members keep
+    their keys and build their max-part-1 canonical form only when it
+    is read.  Discovery order is by word length, then lexicographic
+    word, so runs are reproducible.  The first product that would
+    exceed a cap marks the closure truncated and ends the search.  The
+    closure keeps its ``_Generators`` outside its fields, so equality
+    and repr do not see it.
     """
     record = _Generators.of(gens)
-    n, gkeys, gcols = record
+    n, gkeys, grows = record
     product = _key_product
     words: dict[Key, tuple[int, ...]] = {}
     truncated = False
@@ -236,6 +249,9 @@ def generate_closure(gens: Sequence[Matrix],
                 truncated = True
                 continue
             words[c] = _extend_word((), gi)
+    # the one-letter words name the first occurrence of each class; the
+    # search runs only when every class fitted
+    steps = [(gi, grows[gi]) for (gi,) in words.values()]
     order = list(words)
     qi = 0
     while qi < len(order) and not truncated:
@@ -243,8 +259,9 @@ def generate_closure(gens: Sequence[Matrix],
         qi += 1
         word = words[u]
         extendable = len(word) < caps.max_word_length
-        for gi, g in enumerate(gcols):
-            c = product(u, g)
+        nonzeros = _nonzeros(u)
+        for gi, g in steps:
+            c = product(nonzeros, g)
             if c in words:
                 continue
             if not extendable or len(words) >= caps.max_elements:
@@ -293,7 +310,7 @@ def algebra_dimension(gens: Sequence[Matrix]) -> int:
 
 def _span_dimension(record: _Generators) -> int:
     """``algebra_dimension`` of the generators with this record."""
-    n, keys, gcols = record
+    n, keys, grows = record
     w = len(keys[0]) // n
     identity = tuple(int(i == j) for i in range(n) for j in range(w))
     dim_target = len(identity)
@@ -313,8 +330,9 @@ def _span_dimension(record: _Generators) -> int:
     while frontier and len(basis) < dim_target:
         nxt: list[Key] = []
         for m in frontier:
-            for g in gcols:
-                prod = _key_product(m, g)
+            nonzeros = _nonzeros(m)
+            for g in grows:
+                prod = _key_product(nonzeros, g)
                 if try_add(prod):
                     nxt.append(prod)
         frontier = nxt

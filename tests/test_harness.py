@@ -5,9 +5,10 @@ import pytest
 
 from matsemi import (Caps, DecompositionKind, DiagonalWitness, Matrix, Scalar,
                      classify_decomposability, classify_entries, conjugate,
-                     diag_sim_nonneg, generate_closure)
+                     diag_sim_nonneg, generate_closure, simultaneous_diag_sim)
 from matsemi.harness import (_FIXTURES, MAX_SIGN_SEARCH_N,
-                             MAX_SUBSET_SEARCH_N, HypothesisCheck, _report,
+                             MAX_SUBSET_SEARCH_N, HypothesisCheck,
+                             _generator_witness, _report,
                              plant_group_instance, plant_semigroup_instance,
                              run_fixtures, sign_search_oracle,
                              subset_invariance_oracle, verify_group_theorem,
@@ -310,7 +311,8 @@ def _group_report(gens):
     the member-quantified reference for it."""
     hyps = {"given": HypothesisCheck(True, "assumed for the test")}
     closure = generate_closure(gens)
-    rep = _report("Group", hyps, gens, closure, True)
+    rep = _report("Group", hyps, closure, _generator_witness(gens, closure),
+                  True)
     assert rep.to_json() == reference_report("Group", hyps, closure,
                                              monomial=True).to_json()
     return rep
@@ -358,12 +360,39 @@ def test_report_rechecks_the_witness(monkeypatch):
     monkeypatch.setattr(h, "_keyed_witness", wrong)
     i = Scalar(0, 1)
     for gens in ([M([[0, -1], [1, 0]])], [M([[0, i], [i, 0]])]):
+        closure = generate_closure(gens)
         rep = _report("Group", {"given": HypothesisCheck(True, "assumed")},
-                      gens, generate_closure(gens), True)
+                      closure, _generator_witness(gens, closure), True)
         assert rep.falsified and not rep.conclusion_holds
         assert rep.monomial_check is True
     assert widths == [4, 8]
 
+
+def test_pipelines_recheck_the_witness_on_every_generator(monkeypatch):
+    # a witness that the solver got wrong fails its re-check, so the
+    # member scans still run and find the offending member; in the last
+    # two sets the all-plus witness fits every generator but the last,
+    # which comes after a repeated class
+    import matsemi.harness as h
+
+    def plus_ones(gens, keys):
+        return DiagonalWitness((Scalar(1),) * gens[0].rows)
+
+    monkeypatch.setattr(h, "_keyed_witness", plus_ones)
+    minus_e01 = M([[0, -1, 0], [0, 0, 0], [0, 0, 0]])
+    for group, gens in ((True, [M([[0, -1], [1, 0]])]),
+                        (False, UNITS2 + [M([[0, 0], [1, -1]])]),
+                        (True, [C3, C3.scale(2), -C3]),
+                        (False, UNITS3 + [UNITS3[0], minus_e01])):
+        if group:
+            rep = verify_group_theorem(gens)
+            want = reference_verify_group_theorem(gens)
+            assert not rep.hypotheses["nonneg_diagonals"].holds
+        else:
+            rep = verify_semigroup_theorem(gens)
+            want = reference_verify_semigroup_theorem(gens)
+            assert not rep.hypotheses["members_individually_feasible"].holds
+        assert rep.to_json() == want.to_json()
 
 
 def _unit_phases(rng, n):
@@ -422,21 +451,34 @@ def _pipeline_set(rng):
 def test_pipelines_match_member_quantified_reference():
     # The reference pipelines decide every member fact on the member's
     # canonical matrix, through this suite's own rank, solver, SCC and
-    # conjugation routines.
+    # conjugation routines.  Sets whose generators have no simultaneous
+    # witness decide their member hypothesis by scanning the members;
+    # both outcomes occur.
     rng = random.Random(25025)
     tally = {}
+    scanned = set()
     seen = set()
     for _ in range(600):
         gens, caps, labels = _pipeline_set(rng)
-        for verify, reference in (
-                (verify_group_theorem, reference_verify_group_theorem),
+        truncated = generate_closure(gens, caps).truncated
+        no_witness = simultaneous_diag_sim(gens) is None
+        for verify, reference, member in (
+                (verify_group_theorem, reference_verify_group_theorem,
+                 "nonneg_diagonals"),
                 (verify_semigroup_theorem,
-                 reference_verify_semigroup_theorem)):
+                 reference_verify_semigroup_theorem,
+                 "members_individually_feasible")):
             rep = verify(gens, caps)
             assert rep.to_json() == reference(gens, caps).to_json()
             for name, h in rep.hypotheses.items():
                 tally[name, h.holds] = tally.get((name, h.holds), 0) + 1
-        seen.add(labels + (generate_closure(gens, caps).truncated,))
+            if no_witness and (member == "nonneg_diagonals"
+                               or not truncated):
+                scanned.add((member, rep.hypotheses[member].holds))
+        seen.add(labels + (truncated,))
+    assert scanned == {(member, holds) for holds in (False, True) for member
+                       in ("nonneg_diagonals",
+                           "members_individually_feasible")}
     names = {name for name, _ in tally}
     assert len(names) == 5
     for name in names:
@@ -464,8 +506,48 @@ def test_real_pipelines_build_no_canonical_matrix(monkeypatch):
     assert applicable >= 10
 
 
+def _seeded_plants():
+    """48 seeded planted sets, group and semigroup in turn, n = 2-4,
+    each with its pipeline."""
+    rng = random.Random(640008)
+    ops = []
+    for k in range(48):
+        group = k % 2 == 0
+        plant = plant_group_instance if group else plant_semigroup_instance
+        gens, _ = plant(rng, rng.randint(2, 4))
+        ops.append((gens, verify_group_theorem if group
+                    else verify_semigroup_theorem))
+    return ops
+
+
+def test_closures_multiply_once_per_generator_class(monkeypatch):
+    # a repeat of a class only repeats its first occurrence's products,
+    # so a complete closure makes one product per member and class
+    import matsemi.semigroup as sg
+
+    product = sg._key_product
+    count = [0]
+
+    def counting(a, brows):
+        count[0] += 1
+        return product(a, brows)
+
+    monkeypatch.setattr(sg, "_key_product", counting)
+    complete = repeated = 0
+    for gens, _ in _seeded_plants():
+        count[0] = 0
+        closure = generate_closure(gens, PLANT_CAPS)
+        if closure.truncated:
+            continue
+        classes = len(set(closure._gens.keys))
+        assert count[0] == len(closure.elements) * classes
+        complete += 1
+        repeated += classes < len(gens)
+    assert complete >= 20 and repeated >= 5, (complete, repeated)
+
+
 def test_pipeline_ops_key_their_generators_once(monkeypatch):
-    # the closure keys the generator set once, and its columns feed the
+    # the closure keys the generator set once, and its rows feed the
     # irreducibility check and its keys the witness, on real and
     # Gaussian sets alike
     import matsemi.diagsim as ds
@@ -484,26 +566,17 @@ def test_pipeline_ops_key_their_generators_once(monkeypatch):
     keys = counting("keys", ex._projective_keys)
     for mod in (ex, sg, ds, h):
         monkeypatch.setattr(mod, "_projective_keys", keys, raising=False)
-    monkeypatch.setattr(sg, "_key_columns",
-                        counting("columns", sg._key_columns))
+    monkeypatch.setattr(sg, "_key_rows", counting("rows", sg._key_rows))
     monkeypatch.setattr(h, "generate_closure",
                         counting("closure", h.generate_closure))
-    rng = random.Random(640008)
-    ops = []
-    for k in range(48):
-        group = k % 2 == 0
-        plant = plant_group_instance if group else plant_semigroup_instance
-        gens, _ = plant(rng, rng.randint(2, 4))
-        ops.append((gens, verify_group_theorem if group
-                    else verify_semigroup_theorem))
+    ops = _seeded_plants()
     ops += [(gens, verify) for gens, verify, _ in _conjugated_plants(
         7, 30, lambda rng: rng.choice(PHASES))]
     gaussian = applicable = 0
     for gens, verify in ops:
         calls.clear()
         applicable += verify(gens, PLANT_CAPS).applicable
-        assert sorted(calls) == ["closure"] + ["columns"] * len(gens) \
-            + ["keys"]
+        assert sorted(calls) == ["closure", "keys"] + ["rows"] * len(gens)
         gaussian += any(e.im for g in gens for e in g.entries)
     assert gaussian >= 20 and applicable >= 20
 
@@ -544,6 +617,18 @@ def test_reports_share_their_parts_and_retain_little():
     assert twin.hypotheses is rep.hypotheses and twin.notes is rep.notes
     assert all(a is b for a, b in zip(twin.hypotheses.values(),
                                       rep.hypotheses.values()))
+
+
+def test_equal_reports_are_one_object():
+    # reports are shared by value: a scaled copy of a generator set gets
+    # the very same report, and a report with another witness does not
+    assert verify_group_theorem([C3.scale(2)]) is verify_group_theorem([C3])
+    rep = verify_semigroup_theorem(UNITS3)
+    assert rep.applicable
+    assert verify_semigroup_theorem([g.scale(2) for g in UNITS3]) is rep
+    d = DiagonalWitness(tuple(map(Scalar, (1, -1, 1))))
+    other = verify_semigroup_theorem([conjugate(d, g) for g in UNITS3])
+    assert other.witness == d and other is not rep
 
 
 # -- planted instances ------------------------------------------------------

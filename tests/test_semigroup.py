@@ -9,7 +9,7 @@ from matsemi import (Caps, Matrix, ProjectiveElement, Scalar,
                      verify_group_theorem, xy_decomposition)
 from _fx import M, outer, ones
 from matsemi import semigroup
-from matsemi.semigroup import _key_columns, _key_product
+from matsemi.semigroup import _key_product, _key_rows, _nonzeros
 from _reference import (_canonical_vector, reference_algebra_dimension,
                         reference_canonical, reference_closure,
                         reference_group_info, reference_key_product)
@@ -283,6 +283,47 @@ def test_closure_matches_fraction_reference(gaussian, mixed):
     assert all(hit.values()), hit
 
 
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_closure_with_repeated_classes_matches_fraction_reference(
+        gaussian, monkeypatch):
+    # a copy, a x2 and a x1/3 multiple of random generators, inserted
+    # anywhere: the closure multiplies by first occurrences only, and
+    # words, members and truncation stay those of every generator,
+    # also when the search ends on a product that a repeat follows
+    product = semigroup._key_product
+    last = []
+
+    def recording(a, brows):
+        last[:] = [brows]
+        return product(a, brows)
+
+    monkeypatch.setattr(semigroup, "_key_product", recording)
+    rng = random.Random(31031 + gaussian)
+    repeat_follows = 0
+    for k in range(80):
+        gens = _random_generators(
+            rng, gaussian, ("dense", "monomial") if k < 40
+            else ("weighted_monomial", "outer"))
+        for c in (1, 2, Fraction(1, 3)):
+            g = rng.choice(gens)
+            gens.insert(rng.randint(0, len(gens)), g.scale(c))
+        caps = Caps(max_elements=rng.choice((6, 25, 60)),
+                    max_word_length=rng.choice((2, 3, 6)))
+        last.clear()
+        got = generate_closure(gens, caps)
+        want = reference_closure(gens, caps)
+        assert [e.word for e in got.elements] == \
+            [e.word for e in want.elements]
+        assert got.canonical_matrices() == want.canonical_matrices()
+        assert got.truncated == want.truncated
+        if got.truncated and last:
+            keys, rows = got._gens.keys, got._gens.rows
+            gi = next(i for i, r in enumerate(rows) if r is last[0])
+            repeat_follows += any(keys[j] in keys[:j]
+                                  for j in range(gi + 1, len(keys)))
+    assert repeat_follows >= 20, repeat_follows
+
+
 def _random_key(rng, n, gaussian, shape):
     parts = (0, 1, -1, 2, -3, 5)
     if shape == "monomial":
@@ -350,8 +391,8 @@ def test_sparse_key_product_matches_dense_reference(gaussian):
         a = _random_key(rng, n, gaussian, sa)
         b = _random_key(rng, n, gaussian, sb)
         want = reference_key_product(a, b, n)
-        assert _key_product(layout(a, n), _key_columns(layout(b, n), n)) \
-            == layout(want, n)
+        assert _key_product(_nonzeros(layout(a, n)),
+                            _key_rows(layout(b, n), n)) == layout(want, n)
         seen.update((sa, sb))
     assert seen == set(_KEY_SHAPES)
 
@@ -400,13 +441,15 @@ def test_algebra_dimension_matches_scalar_reference():
 @pytest.mark.parametrize("gaussian", [False, True])
 def test_width_follows_generators(gaussian, monkeypatch):
     # a silent fall-back to block-row keys would give the same answers
-    # at twice the cost: record the width of every left factor
+    # at twice the cost: record the width of every left factor, which
+    # has one part per row of the layout it is multiplied by
     product = semigroup._key_product
     widths = set()
 
-    def recording(a, bcols):
-        widths.add(len(a))
-        return product(a, bcols)
+    def recording(a, brows):
+        assert all(p < len(brows) for p, _ in a)
+        widths.add(len(brows))
+        return product(a, brows)
 
     monkeypatch.setattr(semigroup, "_key_product", recording)
     rng = random.Random(515 + gaussian)
