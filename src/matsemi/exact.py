@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 ScalarLike = Union["Scalar", int, str, Fraction]
@@ -510,17 +510,17 @@ def _key_rank(key: Key, rows: int, cols: int) -> int:
     return int_rank(image) * cols // len(image[0])
 
 
-def _key_parts(key: Key, n: int) -> tuple[Key, Key]:
-    """The real and the imaginary parts, row major, of the n x n matrix
-    with this key, times the key's positive scale.  At real width the
-    imaginary parts are empty."""
-    if len(key) == n * n:
+def _key_parts(key: Key, rows: int, cols: int) -> tuple[Key, Key]:
+    """The real and the imaginary parts, row major, of the rows x cols
+    matrix with this key, times the key's positive scale.  At real width
+    the imaginary parts are empty."""
+    if len(key) == rows * cols:
         return key, ()
     re: list[int] = []
     im: list[int] = []
-    for r in range(0, len(key), 2 * n):
-        re += key[r:r + n]
-        im += key[r + n:r + 2 * n]
+    for r in range(0, len(key), 2 * cols):
+        re += key[r:r + cols]
+        im += key[r + cols:r + 2 * cols]
     return tuple(re), tuple(im)
 
 

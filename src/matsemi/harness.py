@@ -227,8 +227,15 @@ def _validate_theorem_input(gens: Sequence[Matrix]) -> int:
 # routine that decides it for a Matrix, fed the key's data.
 
 
+def _key_nonzero(key: Sequence[int], n: int) -> list[tuple[int, int]]:
+    """(row, column) of each nonzero entry of the n x n key's matrix."""
+    re, im = _key_parts(key, n, n)
+    return _nonzero_positions([a or b for a, b in zip(re, im)]
+                              if im else re, n)
+
+
 def _nonneg_diagonal(e: ProjectiveElement, n: int) -> bool:
-    re, im = _key_parts(e._key, n)
+    re, im = _key_parts(e._key, n, n)
     diagonal = range(0, n * n, n + 1)
     return (all(re[k] >= 0 for k in diagonal)
             and not (im and any(im[k] for k in diagonal)))
@@ -238,7 +245,7 @@ def _feasible(e: ProjectiveElement, n: int) -> bool:
     """Whether the member is diagonally similar to a nonnegative matrix:
     on its entry signs when it is real, on its canonical matrix when
     not."""
-    re, im = _key_parts(e._key, n)
+    re, im = _key_parts(e._key, n, n)
     if any(im):
         return _keyed_witness([e.canonical], [e._key]) is not None
     return _sign_witness([_entry_signs(re)], n) is not None
@@ -248,11 +255,8 @@ def _many_blocks(e: ProjectiveElement, n: int) -> bool:
     """Whether the member has rank >= 2 and more than two components."""
     if _key_rank(e._key, n, n) < 2:
         return False
-    re, im = _key_parts(e._key, n)
-    nonzero = _nonzero_positions([a or b for a, b in zip(re, im)]
-                                 if im else re, n)
-    return scc_condensation(PatternDigraph(n, frozenset(nonzero))
-                            ).scc_count > 2
+    return scc_condensation(PatternDigraph(
+        n, frozenset(_key_nonzero(e._key, n)))).scc_count > 2
 
 
 def _first(members: Sequence[ProjectiveElement],
@@ -263,13 +267,10 @@ def _first(members: Sequence[ProjectiveElement],
 
 class _GeneratorWitness(NamedTuple):
     """The generators' simultaneous witness (None if the solver found
-    none), whether it re-checks on every generator, and the entries it
-    was checked on: each generator key's signs at real key width, each
-    conjugated generator's entries at block-row width."""
+    none) and whether it re-checks on every generator."""
 
     witness: Optional[DiagonalWitness]
     fits: bool
-    flats: list
 
 
 def _generator_witness(gens: Sequence[Matrix],
@@ -287,23 +288,21 @@ def _generator_witness(gens: Sequence[Matrix],
     and makes every member feasible on its own.
 
     At real key width the witness is +-1 and is checked on the keys'
-    signs by the routine that found it; it keeps every zero pattern, so
-    the signs also serve the monomial check.  At block-row width it is
+    signs by the routine that found it.  At block-row width it is
     checked on the conjugated generators.
     """
     keys = closure._gens.keys
     witness = _keyed_witness(gens, keys)
     if witness is None:
-        return _GeneratorWitness(None, False, [])
+        return _GeneratorWitness(None, False)
     n = len(witness.d)
     if len(keys[0]) == n * n:
         s = [1 if x == 1 else -1 for x in witness.d]
-        flats = [_entry_signs(k) for k in keys]
-        fits = all(_signs_fit(s, sg, n) for sg in flats)
+        fits = all(_signs_fit(s, _entry_signs(k), n) for k in keys)
     else:
-        flats = [conjugate(witness, g).entries for g in gens]
-        fits = all(x.is_nonneg_real for f in flats for x in f)
-    return _GeneratorWitness(witness, fits, flats)
+        fits = all(x.is_nonneg_real for g in gens
+                   for x in conjugate(witness, g).entries)
+    return _GeneratorWitness(witness, fits)
 
 
 def _report(theorem: str, hyps: Mapping[str, HypothesisCheck],
@@ -312,14 +311,15 @@ def _report(theorem: str, hyps: Mapping[str, HypothesisCheck],
     """A pipeline's report, its conclusion read from the generators'
     checked witness (``_generator_witness``), which holds for every
     member of ``closure`` exactly when it fits every generator.  No
-    witness is solved for here.
+    witness is solved for here.  Conjugation by a diagonal keeps zero
+    patterns, so the monomial check reads the generator keys' patterns.
     """
     items = tuple(hyps.items())
     if not all(h.holds for h in hyps.values()):
         return _shared_report(theorem, items, False, False, None, None,
                               "hypotheses not established; conclusion "
                               "untested")
-    witness, conclusion, flats = checked
+    witness, conclusion = checked
     if witness is None:
         return _shared_report(theorem, items, True, False, None, None,
                               "no simultaneous diagonal similarity exists")
@@ -327,8 +327,8 @@ def _report(theorem: str, hyps: Mapping[str, HypothesisCheck],
     notes = f"witness verified on {len(closure.elements)} members"
     monomial_check = None
     if monomial:
-        monomial_check = all(_is_monomial(_nonzero_positions(f, n), n)
-                             for f in flats)
+        monomial_check = all(_is_monomial(_key_nonzero(k, n), n)
+                             for k in closure._gens.keys)
         conclusion = conclusion and monomial_check
         if not monomial_check:
             notes += "; a conjugated member is not monomial"
@@ -363,7 +363,8 @@ def verify_group_theorem(gens: Sequence[Matrix],
         a = _check(False, (
             f"closure truncated at {len(members)} elements; "
             "group property not established"))
-    elif not all(_key_rank(k, n, n) == n for k in closure._gens.keys):
+    elif not all(_key_rank(closure._gens.keys[gi], n, n) == n
+                 for gi, _ in closure._gens.classes):
         a = _check(False, "a generator is singular")
     else:
         a = _check(True, (

@@ -12,9 +12,9 @@ member is handed out with its key; its canonical form, scaled so the
 largest entry magnitude component is 1, is built the first time a
 caller reads it.  That keeps closures finite in the cases of interest
 and keeps entry sizes bounded.
-A generator set becomes integers once, as a ``_Generators`` record; a
-closure keeps the one it multiplied by, so the theorem pipelines read
-their generators from it without keying again.
+A generator set becomes integers once, as a ``_Generators`` record of
+its classes; a closure keeps the one it multiplied by, so the theorem
+pipelines read their generators from it without keying again.
 Closures that hit a cap are marked truncated and no downstream check is
 allowed to treat them as complete.
 """
@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exact import (Basis, Key, Matrix, Scalar, _insert, _key_rank,
-                    _projective_keys, _rotation, _square_size, primitive,
-                    rank, rank_one_factor)
+from .exact import (Basis, Key, Matrix, Scalar, _image_rows, _insert,
+                    _key_parts, _key_rank, _projective_keys, _rotation,
+                    _square_size, primitive, rank, rank_one_factor)
 
 
 @dataclass(frozen=True)
@@ -56,19 +56,19 @@ def _key_rows(key: Key, n: int) -> KeyRows:
     left key multiplies row k of the image into row i of the product,
     so row p lists the pairs ``(i*w + j, f_kj)`` for the nonzero entries
     f_kj of that row: the offset in the product that the term adds to,
-    and f_kj itself.  Generators are turned into rows once, so a product
-    term is one multiply-add, and a zero part of the left key costs
-    nothing.
+    and f_kj itself.  Each generator class is turned into rows once, so
+    a product term is one multiply-add, and a zero part of the left key
+    costs nothing.
     """
-    w = len(key) // n
-    image = key if w == n else key + _rotation(key, n)
+    image = _image_rows(key, n, n)
+    w = len(image)
     nw = n * w
     rows: list[list[tuple[int, int]]] = [[] for _ in range(nw)]
-    for kj, u in enumerate(image):
-        if u:
-            k, j = divmod(kj, w)
-            for i in range(0, nw, w):
-                rows[i + k].append((i + j, u))
+    for k, row in enumerate(image):
+        for j, u in enumerate(row):
+            if u:
+                for i in range(0, nw, w):
+                    rows[i + k].append((i + j, u))
     return tuple(map(tuple, rows))
 
 
@@ -79,17 +79,21 @@ def _nonzeros(key: Key) -> Nonzeros:
 
 class _Generators(NamedTuple):
     """A generator set as integers: its size n, its projective keys in
-    input order (repeats included, one width) and their rows."""
+    input order (repeats included, one width) and its positive-scaling
+    classes in input order, each as its first occurrence's index and
+    rows.  A repeat's products are positive multiples of its first
+    occurrence's, so products with generators read ``classes`` only."""
 
     n: int
     keys: list[Key]
-    rows: list[KeyRows]
+    classes: list[tuple[int, KeyRows]]
 
     @classmethod
     def of(cls, gens: Sequence[Matrix]) -> "_Generators":
         n = _square_size(gens)
         keys = _projective_keys(gens)
-        return cls(n, keys, [_key_rows(k, n) for k in keys])
+        return cls(n, keys, [(keys.index(k), _key_rows(k, n))
+                             for k in dict.fromkeys(keys)])
 
 
 def _key_product(a: Nonzeros, brows: KeyRows) -> Key:
@@ -115,19 +119,18 @@ def _canonical_from_key(key: Key, rows: int, cols: int,
     entries = memo.get(top)
     if entries is None:
         entries = memo[top] = {}
-    if len(key) == rows * cols:
-        for x in set(key).difference(entries):
+    re, im = _key_parts(key, rows, cols)
+    if not im:
+        for x in set(re).difference(entries):
             entries[x] = Scalar(Fraction(x, top))
-        return Matrix(rows, cols, map(entries.__getitem__, key))
+        return Matrix(rows, cols, map(entries.__getitem__, re))
     flat = []
-    for r in range(0, len(key), 2 * cols):
-        # entry (i, j) is A_ij + i B_ij
-        for part in zip(key[r:r + cols], key[r + cols:r + 2 * cols]):
-            e = entries.get(part)
-            if e is None:
-                e = entries[part] = Scalar(Fraction(part[0], top),
-                                           Fraction(part[1], top))
-            flat.append(e)
+    for part in zip(re, im):
+        e = entries.get(part)
+        if e is None:
+            e = entries[part] = Scalar(Fraction(part[0], top),
+                                       Fraction(part[1], top))
+        flat.append(e)
     return Matrix(rows, cols, flat)
 
 
@@ -227,10 +230,10 @@ def generate_closure(gens: Sequence[Matrix],
     products.  The search runs on projective keys of the generator
     set's width, so each step is one integer product and one gcd
     division.  A member's nonzero parts are listed once and go into
-    every product it is the left factor of.  Members are multiplied by
-    the first occurrence of each generator class only: a repeat gives
-    the class of its first occurrence's product, which is tried first,
-    so it could neither add a member nor end the search.  Members keep
+    every product it is the left factor of.  One-letter words and
+    products come from the record's ``classes``: a repeat gives the
+    class of its first occurrence's product, which is tried first, so
+    it could neither add a member nor end the search.  Members keep
     their keys and build their max-part-1 canonical form only when it
     is read.  Discovery order is by word length, then lexicographic
     word, so runs are reproducible.  The first product that would
@@ -239,19 +242,12 @@ def generate_closure(gens: Sequence[Matrix],
     and repr do not see it.
     """
     record = _Generators.of(gens)
-    n, gkeys, grows = record
+    n, gkeys, classes = record
     product = _key_product
-    words: dict[Key, tuple[int, ...]] = {}
-    truncated = False
-    for gi, c in enumerate(gkeys):
-        if c not in words:
-            if len(words) >= caps.max_elements:
-                truncated = True
-                continue
-            words[c] = _extend_word((), gi)
-    # the one-letter words name the first occurrence of each class; the
-    # search runs only when every class fitted
-    steps = [(gi, grows[gi]) for (gi,) in words.values()]
+    words: dict[Key, tuple[int, ...]] = {
+        gkeys[gi]: _extend_word((), gi)
+        for gi, _ in classes[:caps.max_elements]}
+    truncated = len(classes) > caps.max_elements
     order = list(words)
     qi = 0
     while qi < len(order) and not truncated:
@@ -260,7 +256,7 @@ def generate_closure(gens: Sequence[Matrix],
         word = words[u]
         extendable = len(word) < caps.max_word_length
         nonzeros = _nonzeros(u)
-        for gi, g in steps:
+        for gi, g in classes:
             c = product(nonzeros, g)
             if c in words:
                 continue
@@ -309,8 +305,9 @@ def algebra_dimension(gens: Sequence[Matrix]) -> int:
 
 
 def _span_dimension(record: _Generators) -> int:
-    """``algebra_dimension`` of the generators with this record."""
-    n, keys, grows = record
+    """``algebra_dimension`` of the generators with this record, spanned
+    by products with its ``classes``."""
+    n, keys, classes = record
     w = len(keys[0]) // n
     identity = tuple(int(i == j) for i in range(n) for j in range(w))
     dim_target = len(identity)
@@ -331,7 +328,7 @@ def _span_dimension(record: _Generators) -> int:
         nxt: list[Key] = []
         for m in frontier:
             nonzeros = _nonzeros(m)
-            for g in grows:
+            for _, g in classes:
                 prod = _key_product(nonzeros, g)
                 if try_add(prod):
                     nxt.append(prod)

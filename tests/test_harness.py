@@ -330,11 +330,13 @@ def test_group_report_on_signed_permutations():
 
 
 def test_group_report_on_non_monomial_set():
-    rep = _group_report([M([[1, 1], [0, 1]])])
-    assert rep.applicable and not rep.conclusion_holds and rep.falsified
-    assert rep.monomial_check is False
-    assert rep.notes == ("witness verified on 12 members; "
-                         "a conjugated member is not monomial")
+    # real and Gaussian key widths; the conjugates keep the zero pattern
+    for m in (M([[1, 1], [0, 1]]), M([[1, Scalar(0, 1)], [0, 1]])):
+        rep = _group_report([m])
+        assert rep.applicable and not rep.conclusion_holds and rep.falsified
+        assert rep.monomial_check is False
+        assert rep.notes == ("witness verified on 12 members; "
+                             "a conjugated member is not monomial")
 
 
 def test_group_report_on_infeasible_pair():
@@ -547,9 +549,9 @@ def test_closures_multiply_once_per_generator_class(monkeypatch):
 
 
 def test_pipeline_ops_key_their_generators_once(monkeypatch):
-    # the closure keys the generator set once, and its rows feed the
-    # irreducibility check and its keys the witness, on real and
-    # Gaussian sets alike
+    # the closure keys the generator set once and lays out each class
+    # once, and its rows feed the irreducibility check and its keys the
+    # witness, on real and Gaussian sets alike
     import matsemi.diagsim as ds
     import matsemi.exact as ex
     import matsemi.harness as h
@@ -563,7 +565,8 @@ def test_pipeline_ops_key_their_generators_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    keys = counting("keys", ex._projective_keys)
+    project = ex._projective_keys
+    keys = counting("keys", project)
     for mod in (ex, sg, ds, h):
         monkeypatch.setattr(mod, "_projective_keys", keys, raising=False)
     monkeypatch.setattr(sg, "_key_rows", counting("rows", sg._key_rows))
@@ -576,7 +579,8 @@ def test_pipeline_ops_key_their_generators_once(monkeypatch):
     for gens, verify in ops:
         calls.clear()
         applicable += verify(gens, PLANT_CAPS).applicable
-        assert sorted(calls) == ["closure", "keys"] + ["rows"] * len(gens)
+        classes = len(set(project(gens)))
+        assert sorted(calls) == ["closure", "keys"] + ["rows"] * classes
         gaussian += any(e.im for g in gens for e in g.entries)
     assert gaussian >= 20 and applicable >= 20
 

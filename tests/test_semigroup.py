@@ -283,6 +283,22 @@ def test_closure_matches_fraction_reference(gaussian, mixed):
     assert all(hit.values()), hit
 
 
+def _with_repeats(rng, gens):
+    """A copy, a x2 and a x1/3 multiple of random generators of gens,
+    inserted anywhere, also ahead of the generator's first occurrence."""
+    for c in (1, 2, Fraction(1, 3)):
+        g = rng.choice(gens)
+        gens.insert(rng.randint(0, len(gens)), g.scale(c))
+    return gens
+
+
+def _first_occurrences(gens):
+    firsts = {}
+    for g in gens:
+        firsts.setdefault(projective_canonical(g), g)
+    return list(firsts.values())
+
+
 @pytest.mark.parametrize("gaussian", [False, True])
 def test_closure_with_repeated_classes_matches_fraction_reference(
         gaussian, monkeypatch):
@@ -301,12 +317,9 @@ def test_closure_with_repeated_classes_matches_fraction_reference(
     rng = random.Random(31031 + gaussian)
     repeat_follows = 0
     for k in range(80):
-        gens = _random_generators(
+        gens = _with_repeats(rng, _random_generators(
             rng, gaussian, ("dense", "monomial") if k < 40
-            else ("weighted_monomial", "outer"))
-        for c in (1, 2, Fraction(1, 3)):
-            g = rng.choice(gens)
-            gens.insert(rng.randint(0, len(gens)), g.scale(c))
+            else ("weighted_monomial", "outer")))
         caps = Caps(max_elements=rng.choice((6, 25, 60)),
                     max_word_length=rng.choice((2, 3, 6)))
         last.clear()
@@ -317,11 +330,69 @@ def test_closure_with_repeated_classes_matches_fraction_reference(
         assert got.canonical_matrices() == want.canonical_matrices()
         assert got.truncated == want.truncated
         if got.truncated and last:
-            keys, rows = got._gens.keys, got._gens.rows
-            gi = next(i for i, r in enumerate(rows) if r is last[0])
+            keys = got._gens.keys
+            gi = next(i for i, r in got._gens.classes if r is last[0])
             repeat_follows += any(keys[j] in keys[:j]
                                   for j in range(gi + 1, len(keys)))
     assert repeat_follows >= 20, repeat_follows
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_closure_truncated_at_seeding_with_repeated_classes(gaussian):
+    # at most as many elements allowed as there are generator classes:
+    # the closure is the first classes in input order, one-letter words
+    # naming their first occurrences, and is truncated whenever a class
+    # or a product does not fit; the first set is closed, so it fits
+    # untruncated once every class does
+    rng = random.Random(4141 + gaussian)
+    closed = ([Matrix.diagonal([1, Scalar(0, k)]) for k in (1, -1)]
+              + [Matrix.diagonal([1, -1])] if gaussian
+              else [M([[0, 1], [1, 0]])]) + [Matrix.identity(2)]
+    sets = [_with_repeats(rng, list(closed))] + [
+        _with_repeats(rng, _random_generators(
+            rng, gaussian, ("dense", "monomial", "outer")))
+        for _ in range(40)]
+    tried = 0
+    for gens in sets:
+        classes = len(_first_occurrences(gens))
+        for m in range(1, classes + 1):
+            caps = Caps(max_elements=m)
+            got = generate_closure(gens, caps)
+            want = reference_closure(gens, caps)
+            assert [e.word for e in got.elements] == \
+                [e.word for e in want.elements]
+            assert got.canonical_matrices() == want.canonical_matrices()
+            assert got.truncated == want.truncated
+            assert got.truncated or m == classes
+            tried += 1
+    assert tried >= 80, tried
+    assert not generate_closure(
+        sets[0], Caps(max_elements=len(closed))).truncated
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_algebra_span_multiplies_by_generator_classes(gaussian, monkeypatch):
+    # repeats of a class add no product to the span: it makes as many
+    # products as on the first occurrences alone
+    product = semigroup._key_product
+    count = [0]
+
+    def counting(a, brows):
+        count[0] += 1
+        return product(a, brows)
+
+    monkeypatch.setattr(semigroup, "_key_product", counting)
+    rng = random.Random(5151 + gaussian)
+    for _ in range(60):
+        gens = _with_repeats(rng, _random_generators(
+            rng, gaussian, ("dense", "monomial", "outer")))
+        count[0] = 0
+        dim = algebra_dimension(gens)
+        made = count[0]
+        count[0] = 0
+        assert algebra_dimension(_first_occurrences(gens)) == dim
+        assert count[0] == made
+        assert dim == reference_algebra_dimension(gens)
 
 
 def _random_key(rng, n, gaussian, shape):
