@@ -1,31 +1,38 @@
 """Deciding diagonal similarity to nonnegative matrices, with witnesses.
 
-The solver propagates the required diagonal along a spanning forest of
-the undirected support graph (vertices joined when either of the two
-opposite entries is nonzero).  Any valid witness is determined on each
-connected component up to one common scalar, so fixing the root value to
-1 loses nothing: if the propagated diagonal fails verification, no
-diagonal works.
+Entry (i, j) of D m D^{-1} is d_i * m_ij / d_j, a positive multiple of
+d_i * m_ij * conj(d_j), so whether it is nonnegative depends only on the
+phase of each d_i: the question is whether a gain graph is balanced
+(Engel and Schneider, "Cyclic and diagonal products on a matrix", 1973;
+Zaslavsky, "Biased graphs. I", 1989).  The solver reads the matrices'
+projective keys, whose parts are positive multiples of the entries, and
+keeps each d_i as a primitive Gaussian integer, one per phase.  It
+propagates the phases along a spanning forest of the undirected support
+graph (vertices joined when either of the two opposite entries is
+nonzero), with 1 at the smallest vertex of every component.  Any valid
+witness has these phases up to one common phase per component, so if
+the propagated diagonal fails the check, no diagonal works.
 
-For real input the question is one of signs only (signature
-similarity: every cycle of the support graph must have a positive sign
-product; Engel and Schneider, "Cyclic and diagonal products on a
-matrix", 1973).  Input is real when its projective keys have real
-width, and is then decided on the keys' signs, which are its entry
-signs: the propagated diagonal is +-1 and is verified entrywise,
-without forming any conjugated matrix.
+The decision is integer multiply-adds, with no division; at real key
+width the phases are +-1 and the check is one on entry signs.  The
+witness becomes ``Scalar`` values only for output.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .exact import (Key, Matrix, ONE, Scalar, _entry_signs,
-                    _projective_keys, _square_size)
+from .exact import (Key, Matrix, ONE, Scalar, _key_parts, _projective_keys,
+                    _square_size, primitive)
 
 _MINUS_ONE = Scalar(-1)
+
+# a nonzero entry of a key's matrix: row, column, real and imaginary part
+Entry = tuple[int, int, int, int]
+# a diagonal entry up to a positive factor: a primitive Gaussian integer
+Phase = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -97,115 +104,91 @@ def conjugate(w: DiagonalWitness, m: Matrix) -> Matrix:
     return Matrix(n, n, flat)
 
 
-def _support_adjacency(flats: Sequence[Sequence], n: int) -> list[list[int]]:
-    """Sorted neighbours in the undirected support graph of row-major
-    n x n entry sequences, where a truthy entry is in the support."""
-    nbr: list[set[int]] = [set() for _ in range(n)]
-    for flat in flats:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if flat[i * n + j] or flat[j * n + i]:
-                    nbr[i].add(j)
-                    nbr[j].add(i)
-    return [sorted(s) for s in nbr]
+def _key_entries(key: Key, n: int) -> list[Entry]:
+    """(i, j, re, im) of each nonzero entry, row major, of the n x n
+    matrix with this key, its parts times the key's positive scale."""
+    re, im = _key_parts(key, n, n)
+    im = im or (0,) * len(re)
+    return [(k // n, k % n, a, b) for k, (a, b) in enumerate(zip(re, im))
+            if a or b]
 
 
-def _propagate(flats: Sequence[Sequence], n: int, one,
-               reciprocal: Callable) -> list:
-    """Breadth-first diagonal values over the support graph, ``one`` at
-    the smallest vertex of every component.
+def _propagate(entries: Sequence[Sequence[Entry]], n: int) -> list[Phase]:
+    """Breadth-first phases over the support graph of these nonzero
+    entries, (1, 0) at the smallest vertex of every component.
 
-    d_v is forced by the first nonzero entry on the edge {u, v}, scanning
-    members in order, orientation (u, v) before (v, u).  A valid witness
-    makes d_u * m_uv / d_v positive, so d_v = d_u * m_uv up to positive
-    scaling; the reverse orientation forces d_v = d_u * reciprocal(m_vu).
+    A valid witness makes d_u * m_uv * conj(d_v) a positive real, so d_v
+    is a positive multiple of d_u * m_uv, and of d_u * conj(m_vu) for
+    the reverse orientation: each off-diagonal entry is an edge both
+    ways.
     """
-    adj = _support_adjacency(flats, n)
+    adj: list[dict[int, Phase]] = [{} for _ in range(n)]
+    for es in entries:
+        for i, j, a, b in es:
+            if i != j:
+                adj[i][j] = a, b
+                adj[j][i] = a, -b
     d: list = [None] * n
     for root in range(n):
         if d[root] is not None:
             continue
-        d[root] = one
+        d[root] = (1, 0)
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for v in adj[u]:
+            p, q = d[u]
+            for v, (a, b) in adj[u].items():
                 if d[v] is None:
-                    d[v] = d[u] * _edge_factor(flats, n, u, v, reciprocal)
+                    d[v] = primitive((p * a - q * b, p * b + q * a))
                     queue.append(v)
     return d
 
 
-def _edge_factor(flats, n: int, u: int, v: int, reciprocal: Callable):
-    for flat in flats:
-        e = flat[u * n + v]
-        if e:
-            return e
-        e = flat[v * n + u]
-        if e:
-            return reciprocal(e)
-    raise AssertionError("no constraint on a support edge")
-
-
-def _signs_fit(s: Sequence[int], signs: Sequence[int], n: int) -> bool:
-    """Whether the +-1 diagonal s makes the real n x n matrix with these
-    row-major entry signs nonnegative: every s_i * s_j * m_ij >= 0, so
-    for i = j, m_ii >= 0."""
-    for i in range(n):
-        si = s[i]
-        row = i * n
-        for j in range(n):
-            if si * s[j] * signs[row + j] < 0:
-                return False
+def _fits(d: Sequence[Phase], entries: Iterable[Entry]) -> bool:
+    """Whether the phase diagonal d makes every d_i * m_ij * conj(d_j)
+    over these nonzero entries a positive real, so for i = j, m_ii > 0."""
+    for i, j, a, b in entries:
+        p, q = d[i]
+        r, s = d[j]
+        x = p * a - q * b
+        y = p * b + q * a
+        if x * r + y * s <= 0 or y * r != x * s:
+            return False
     return True
 
 
-def _sign_witness(signs: Sequence[Sequence[int]],
-                  n: int) -> Optional[list[int]]:
-    """The +-1 diagonal making every real n x n matrix with these
-    row-major entry signs nonnegative, or None if none exists.
+def _keyed_witness(keys: Sequence[Key], n: int) -> Optional[list[Phase]]:
+    """The phases making every n x n matrix with these projective keys
+    nonnegative, or None if none exist.
 
-    Real input is a question of signs only: the candidate is the +-1
-    diagonal of propagated edge signs, and if it fails no diagonal
-    works.
+    The candidate is the propagated phase diagonal, and if it fails no
+    diagonal works.
     """
-    s = _propagate(signs, n, 1, lambda e: e)
-    for sg in signs:
-        if not _signs_fit(s, sg, n):
-            return None
-    return s
+    entries = [_key_entries(k, n) for k in keys]
+    d = _propagate(entries, n)
+    return d if all(_fits(d, es) for es in entries) else None
+
+
+def _witness(d: Sequence[Phase]) -> DiagonalWitness:
+    """The phases as Scalars; +-1 are the shared ONE and -ONE."""
+    return DiagonalWitness(tuple(
+        ONE if p == (1, 0) else _MINUS_ONE if p == (-1, 0) else Scalar(*p)
+        for p in d))
 
 
 def diag_sim_nonneg(m: Matrix) -> Optional[DiagonalWitness]:
     """Witness D with D m D^{-1} nonnegative, or None if none exists.
 
-    For real input the witness is a +-1 diagonal.  The propagated
-    candidate is canonical (value 1 at the smallest vertex of every
-    support component), and its failure certifies infeasibility.
+    The witness is canonical: primitive Gaussian integers, 1 at the
+    smallest vertex of every support component, so +-1 on real input.
+    None is certified: the propagated phases failed, so no diagonal
+    works.
     """
     return simultaneous_diag_sim([m])
 
 
 def simultaneous_diag_sim(ms: Sequence[Matrix]) -> Optional[DiagonalWitness]:
     """One witness D making every D m D^{-1} nonnegative, or None."""
-    return _keyed_witness(ms, _projective_keys(ms))
-
-
-def _keyed_witness(ms: Sequence[Matrix],
-                   keys: Sequence[Key]) -> Optional[DiagonalWitness]:
-    """``simultaneous_diag_sim`` given the matrices' projective keys: on
-    their signs at real width, on the matrices' entries otherwise."""
     n = _square_size(ms)
-    if len(keys[0]) == n * n:
-        s = _sign_witness([_entry_signs(k) for k in keys], n)
-        if s is None:
-            return None
-        return DiagonalWitness(tuple(ONE if x > 0 else _MINUS_ONE
-                                     for x in s))
-    flats = [m.entries for m in ms]
-    d = _propagate(flats, n, ONE, lambda e: ONE / e)
-    w = DiagonalWitness(tuple(d))
-    for m in ms:
-        if not all(x.is_nonneg_real for x in conjugate(w, m).entries):
-            return None
-    return w
+    d = _keyed_witness(_projective_keys(ms), n)
+    return None if d is None else _witness(d)

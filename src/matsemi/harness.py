@@ -20,12 +20,12 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .diagsim import (DiagonalWitness, SignDiagonal, _keyed_witness,
-                      _sign_witness, _signs_fit, conjugate, diag_sim_nonneg,
+from .diagsim import (DiagonalWitness, SignDiagonal, _fits, _key_entries,
+                      _keyed_witness, _witness, conjugate, diag_sim_nonneg,
                       simultaneous_diag_sim)
-from .exact import (Matrix, Scalar, _entry_signs, _is_monomial, _key_parts,
-                    _key_rank, _nonzero_positions, _projective_keys,
-                    _square_size, classify_entries, matrix_product, rank)
+from .exact import (Matrix, Scalar, _entry_signs, _is_monomial, _key_rank,
+                    _projective_keys, _square_size, classify_entries,
+                    matrix_product, rank)
 from .io import witness_to_json
 from .semigroup import (Caps, ProjectiveElement, SemigroupClosure,
                         _span_dimension, generate_closure, is_irreducible,
@@ -223,32 +223,24 @@ def _validate_theorem_input(gens: Sequence[Matrix]) -> int:
 # -- member facts, decided on projective keys -------------------------------
 #
 # A member's key is a positive multiple of its parts, so it has the
-# member's entry signs and zero pattern.  Each fact goes through the
-# routine that decides it for a Matrix, fed the key's data.
+# member's entry phases and zero pattern.  Each fact reads the key's
+# nonzero entries as ``diagsim`` lists them.
 
 
 def _key_nonzero(key: Sequence[int], n: int) -> list[tuple[int, int]]:
     """(row, column) of each nonzero entry of the n x n key's matrix."""
-    re, im = _key_parts(key, n, n)
-    return _nonzero_positions([a or b for a, b in zip(re, im)]
-                              if im else re, n)
+    return [(i, j) for i, j, _, _ in _key_entries(key, n)]
 
 
 def _nonneg_diagonal(e: ProjectiveElement, n: int) -> bool:
-    re, im = _key_parts(e._key, n, n)
-    diagonal = range(0, n * n, n + 1)
-    return (all(re[k] >= 0 for k in diagonal)
-            and not (im and any(im[k] for k in diagonal)))
+    return all(a > 0 and not b for i, j, a, b in _key_entries(e._key, n)
+               if i == j)
 
 
 def _feasible(e: ProjectiveElement, n: int) -> bool:
-    """Whether the member is diagonally similar to a nonnegative matrix:
-    on its entry signs when it is real, on its canonical matrix when
-    not."""
-    re, im = _key_parts(e._key, n, n)
-    if any(im):
-        return _keyed_witness([e.canonical], [e._key]) is not None
-    return _sign_witness([_entry_signs(re)], n) is not None
+    """Whether the member is diagonally similar to a nonnegative
+    matrix, decided on its key."""
+    return _keyed_witness([e._key], n) is not None
 
 
 def _many_blocks(e: ProjectiveElement, n: int) -> bool:
@@ -273,36 +265,28 @@ class _GeneratorWitness(NamedTuple):
     fits: bool
 
 
-def _generator_witness(gens: Sequence[Matrix],
-                       closure: SemigroupClosure) -> _GeneratorWitness:
-    """The witness of ``gens``, found once and re-checked, not taken on
-    trust, on every generator: from ``gens`` and the keys of the
+def _generator_witness(closure: SemigroupClosure) -> _GeneratorWitness:
+    """The witness of the generators of ``closure``, found once and
+    re-checked, not taken on trust, on every generator key of the
     closure's ``_Generators``, repeats included.
 
     Conjugation by a diagonal D is multiplicative.  The generators are
     members, each member is a positive multiple of a product of them,
     and products of nonnegative (monomial) matrices are nonnegative
-    (monomial), so D makes every member of ``closure``, the closure of
-    ``gens``, so exactly when it makes every generator so.  A witness
-    that fits therefore also gives every member a nonnegative diagonal
-    and makes every member feasible on its own.
+    (monomial), so D makes every member of ``closure`` so exactly when
+    it makes every generator so.  A witness that fits therefore also
+    gives every member a nonnegative diagonal and makes every member
+    feasible on its own.
 
-    At real key width the witness is +-1 and is checked on the keys'
-    signs by the routine that found it.  At block-row width it is
-    checked on the conjugated generators.
+    The witness is checked on its integer phases by the routine that
+    found it, at either key width.
     """
-    keys = closure._gens.keys
-    witness = _keyed_witness(gens, keys)
-    if witness is None:
+    n, keys = closure._gens.n, closure._gens.keys
+    d = _keyed_witness(keys, n)
+    if d is None:
         return _GeneratorWitness(None, False)
-    n = len(witness.d)
-    if len(keys[0]) == n * n:
-        s = [1 if x == 1 else -1 for x in witness.d]
-        fits = all(_signs_fit(s, _entry_signs(k), n) for k in keys)
-    else:
-        fits = all(x.is_nonneg_real for g in gens
-                   for x in conjugate(witness, g).entries)
-    return _GeneratorWitness(witness, fits)
+    fits = all(_fits(d, _key_entries(k, n)) for k in keys)
+    return _GeneratorWitness(_witness(d), fits)
 
 
 def _report(theorem: str, hyps: Mapping[str, HypothesisCheck],
@@ -374,7 +358,7 @@ def verify_group_theorem(gens: Sequence[Matrix],
 
     hyps["irreducible"] = _irreducible(closure)
 
-    checked = _generator_witness(gens, closure)
+    checked = _generator_witness(closure)
     bad = None if checked.fits else _first(
         members, lambda e: not _nonneg_diagonal(e, n))
     detail = ("every member has a nonnegative diagonal" if bad is None
@@ -405,7 +389,7 @@ def verify_semigroup_theorem(gens: Sequence[Matrix],
 
     hyps["irreducible"] = _irreducible(closure)
 
-    checked = _generator_witness(gens, closure)
+    checked = _generator_witness(closure)
     if closure.truncated:
         hyps["members_individually_feasible"] = _check(
             False, (f"closure truncated at {len(members)} elements; "

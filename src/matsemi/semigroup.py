@@ -175,9 +175,11 @@ class ProjectiveElement:
         return e
 
     def _set(self, word, key, n, memo, canonical) -> None:
-        for name, value in (("word", word), ("_key", key), ("_n", n),
-                            ("_memo", memo), ("_canonical", canonical)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_n", n)
+        object.__setattr__(self, "_memo", memo)
+        object.__setattr__(self, "_canonical", canonical)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjectiveElement is immutable")

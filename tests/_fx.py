@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -48,3 +49,12 @@ def sign_conjugate(m: Matrix, signs) -> Matrix:
     return Matrix.from_rows(
         [[Scalar(signs[i] * signs[j]) * m.entry(i, j) for j in range(n)]
          for i in range(n)])
+
+
+def primitive_gaussian(x: Scalar) -> Scalar:
+    """The Gaussian integer a + bi with gcd(a, b) = 1 on the ray of the
+    nonzero x: x times a positive rational."""
+    scale = math.lcm(x.re.denominator, x.im.denominator)
+    a, b = int(x.re * scale), int(x.im * scale)
+    g = math.gcd(a, b)
+    return Scalar(a // g, b // g)

@@ -9,7 +9,7 @@ import time
 import pytest
 
 import matsemi
-from matsemi import Caps, Matrix, cli, harness
+from matsemi import Caps, Matrix, Scalar, cli, harness
 from matsemi.cli import main
 from matsemi.io import dump_json, matrix_to_json
 from _fx import M
@@ -42,6 +42,15 @@ def test_analyze(paths, capsys):
     code, out = run(capsys, ["analyze", p])
     assert code == 0
     assert out["witness"] == "infeasible"
+
+
+def test_analyze_prints_the_primitive_gaussian_witness(paths, capsys):
+    # d_1 is the primitive Gaussian integer i on the ray of 2i
+    i = Scalar(0, 1)
+    p = paths("g.json", matrix_to_json(M([[0, i * 2], [-i / 2, 1]])))
+    code, out = run(capsys, ["analyze", p])
+    assert code == 0
+    assert out["witness"]["diagonal"] == ["1", {"re": "0", "im": "1"}]
 
 
 def test_analyze_rectangular_has_no_witness_section(paths, capsys):

@@ -6,7 +6,8 @@ import pytest
 from matsemi import (DiagonalWitness, Matrix, Scalar, SignDiagonal,
                      classify_entries, conjugate, diag_sim_nonneg,
                      simultaneous_diag_sim)
-from _fx import M, outer, ones, random_int_matrix, random_signs, sign_conjugate
+from _fx import (M, outer, ones, primitive_gaussian, random_int_matrix,
+                 random_signs, sign_conjugate)
 from _reference import reference_simultaneous_diag_sim
 
 
@@ -256,7 +257,9 @@ _GAUSSIAN_UNITS = (Scalar(1), Scalar(0, 1), Scalar(1, 1), Scalar(2, -1))
 
 def test_complex_path_matches_scalar_reference():
     # Gaussian diagonals plant feasible sets; a non-real entry under a
-    # real propagated diagonal (or on the diagonal) makes them infeasible
+    # real propagated diagonal (or on the diagonal) makes them infeasible.
+    # The witness is the reference's moved along each entry's ray to its
+    # primitive Gaussian integer.
     rng = random.Random(8009)
     feasible = infeasible = 0
     for _ in range(300):
@@ -277,6 +280,37 @@ def test_complex_path_matches_scalar_reference():
             assert got is None
             infeasible += 1
         else:
-            assert got is not None and got.d == want.d
+            assert got is not None
+            assert got.d == tuple(map(primitive_gaussian, want.d))
+            assert all(classify_entries(conjugate(got, m)).is_nonnegative
+                       for m in mats)
             feasible += 1
     assert feasible >= 30 and infeasible >= 30, (feasible, infeasible)
+
+
+def test_gaussian_witness_is_canonical():
+    # the witness is the one with primitive Gaussian integer entries and
+    # 1 at each component root, whatever the member order and however
+    # each member is scaled by a positive rational
+    i = Scalar(0, 1)
+    A = Matrix.from_rows([[0, i * 2], [-i / 2, 1]])
+    B = Matrix.from_rows([[0, i * 3], [-i, 0]])
+    assert simultaneous_diag_sim([A, B]).d == (Scalar(1), i)
+    assert simultaneous_diag_sim([B, A]).d == (Scalar(1), i)
+    rng = random.Random(8010)
+    gaussian = 0
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        d = DiagonalWitness(tuple(
+            [Scalar(1)] + [rng.choice(_GAUSSIAN_UNITS) for _ in range(n - 1)]))
+        mats = [conjugate(d, random_int_matrix(rng, n, n, 0, 2).scale(
+            rng.choice(_VALUES))) for _ in range(rng.randint(2, 4))]
+        w = simultaneous_diag_sim(mats)
+        assert w is not None
+        gaussian += not all(x.is_real for x in w.d)
+        assert w.d == tuple(map(primitive_gaussian, w.d))
+        rng.shuffle(mats)
+        k = rng.randrange(len(mats))
+        mats[k] = mats[k].scale(rng.choice(_VALUES))
+        assert simultaneous_diag_sim(mats).d == w.d
+    assert gaussian >= 50, gaussian

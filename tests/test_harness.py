@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -13,7 +14,9 @@ from matsemi.harness import (_FIXTURES, MAX_SIGN_SEARCH_N,
                              run_fixtures, sign_search_oracle,
                              subset_invariance_oracle, verify_group_theorem,
                              verify_semigroup_theorem)
-from _fx import M, outer, random_int_matrix, random_pattern
+from matsemi.exact import _projective_keys
+from _fx import (M, outer, primitive_gaussian, random_int_matrix,
+                 random_pattern)
 from _reference import (reference_report,
                         reference_verify_group_theorem,
                         reference_verify_semigroup_theorem)
@@ -311,7 +314,7 @@ def _group_report(gens):
     the member-quantified reference for it."""
     hyps = {"given": HypothesisCheck(True, "assumed for the test")}
     closure = generate_closure(gens)
-    rep = _report("Group", hyps, closure, _generator_witness(gens, closure),
+    rep = _report("Group", hyps, closure, _generator_witness(closure),
                   True)
     assert rep.to_json() == reference_report("Group", hyps, closure,
                                              monomial=True).to_json()
@@ -348,23 +351,23 @@ def test_group_report_on_infeasible_pair():
 
 def test_report_rechecks_the_witness(monkeypatch):
     # the conclusion is verified, not taken from the solver: a witness
-    # that leaves a negative entry (real keys, checked on their signs)
-    # or a non-real one (Gaussian keys, checked on the conjugates)
-    # falsifies the run
+    # that leaves a negative entry (real keys) or a non-real one
+    # (Gaussian keys), checked on the keys' integer parts, falsifies the
+    # run
     import matsemi.harness as h
 
     widths = []
 
-    def wrong(gens, keys):
+    def wrong(keys, n):
         widths.append(len(keys[0]))
-        return DiagonalWitness((Scalar(1), Scalar(1)))
+        return [(1, 0), (1, 0)]
 
     monkeypatch.setattr(h, "_keyed_witness", wrong)
     i = Scalar(0, 1)
     for gens in ([M([[0, -1], [1, 0]])], [M([[0, i], [i, 0]])]):
         closure = generate_closure(gens)
         rep = _report("Group", {"given": HypothesisCheck(True, "assumed")},
-                      closure, _generator_witness(gens, closure), True)
+                      closure, _generator_witness(closure), True)
         assert rep.falsified and not rep.conclusion_holds
         assert rep.monomial_check is True
     assert widths == [4, 8]
@@ -374,11 +377,15 @@ def test_pipelines_recheck_the_witness_on_every_generator(monkeypatch):
     # a witness that the solver got wrong fails its re-check, so the
     # member scans still run and find the offending member; in the last
     # two sets the all-plus witness fits every generator but the last,
-    # which comes after a repeated class
+    # which comes after a repeated class.  The solver errs on the
+    # generator set only, so each member is still decided right.
     import matsemi.harness as h
 
-    def plus_ones(gens, keys):
-        return DiagonalWitness((Scalar(1),) * gens[0].rows)
+    solve = h._keyed_witness
+    generator_keys = []
+
+    def plus_ones(keys, n):
+        return [(1, 0)] * n if keys == generator_keys else solve(keys, n)
 
     monkeypatch.setattr(h, "_keyed_witness", plus_ones)
     minus_e01 = M([[0, -1, 0], [0, 0, 0], [0, 0, 0]])
@@ -386,6 +393,7 @@ def test_pipelines_recheck_the_witness_on_every_generator(monkeypatch):
                         (False, UNITS2 + [M([[0, 0], [1, -1]])]),
                         (True, [C3, C3.scale(2), -C3]),
                         (False, UNITS3 + [UNITS3[0], minus_e01])):
+        generator_keys[:] = _projective_keys(gens)
         if group:
             rep = verify_group_theorem(gens)
             want = reference_verify_group_theorem(gens)
@@ -455,7 +463,8 @@ def test_pipelines_match_member_quantified_reference():
     # canonical matrix, through this suite's own rank, solver, SCC and
     # conjugation routines.  Sets whose generators have no simultaneous
     # witness decide their member hypothesis by scanning the members;
-    # both outcomes occur.
+    # both outcomes occur.  The pipelines' witness is the reference's
+    # moved along each entry's ray to its primitive Gaussian integer.
     rng = random.Random(25025)
     tally = {}
     scanned = set()
@@ -471,7 +480,11 @@ def test_pipelines_match_member_quantified_reference():
                  reference_verify_semigroup_theorem,
                  "members_individually_feasible")):
             rep = verify(gens, caps)
-            assert rep.to_json() == reference(gens, caps).to_json()
+            want = reference(gens, caps)
+            if want.witness is not None:
+                want = dataclasses.replace(want, witness=DiagonalWitness(
+                    tuple(map(primitive_gaussian, want.witness.d))))
+            assert rep.to_json() == want.to_json()
             for name, h in rep.hypotheses.items():
                 tally[name, h.holds] = tally.get((name, h.holds), 0) + 1
             if no_witness and (member == "nonneg_diagonals"
@@ -506,6 +519,29 @@ def test_real_pipelines_build_no_canonical_matrix(monkeypatch):
         gens, _ = plant(rng, rng.randint(2, 4))
         applicable += verify(gens, PLANT_CAPS).applicable
     assert applicable >= 10
+
+
+def test_gaussian_member_scan_builds_no_canonical_matrix(monkeypatch):
+    # P = p p* and Q = q q^T for p = (1, i), q = (1, -1) have no common
+    # witness, so the semigroup pipeline scans its four members P, Q, PQ
+    # and QP; PQ has the non-real diagonal entry 1 + i
+    import matsemi.semigroup as sg
+
+    i = Scalar(0, 1)
+    gens = [M([[1, -i], [i, 1]]), M([[1, -1], [-1, 1]])]
+    assert simultaneous_diag_sim(gens) is None
+    built = []
+    make = sg._canonical_from_key
+
+    def count(*args):
+        built.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(sg, "_canonical_from_key", count)
+    rep = verify_semigroup_theorem(gens)
+    assert built == []
+    h = rep.hypotheses["members_individually_feasible"]
+    assert not h.holds and h.detail == "member 2 admits no diagonal witness"
 
 
 def _seeded_plants():
