@@ -348,7 +348,7 @@ def verify_group_theorem(gens: Sequence[Matrix],
             f"closure truncated at {len(members)} elements; "
             "group property not established"))
     elif not all(_key_rank(closure._gens.keys[gi], n, n) == n
-                 for gi, _ in closure._gens.classes):
+                 for gi, _, _ in closure._gens.classes):
         a = _check(False, "a generator is singular")
     else:
         a = _check(True, (

@@ -7,6 +7,11 @@ class is represented by its projective key from :mod:`matsemi.exact`,
 of the width chosen once for the generator set.  Products of keys are
 plain integer arithmetic: the left factor's nonzero parts times each
 generator's nonzero image rows, so zeros on either side cost nothing.
+Each generator class is laid out once per image row, with a bitmask
+of its nonzero rows; each left factor lists its nonzero parts once,
+with a bitmask of the image rows they read.  Where the two masks share
+no bit, every term of the product is zero, so the product is the zero
+key and is not computed.
 The closure is a set of keys, grown by one generator per class.  Each
 member is handed out with its key; its canonical form, scaled so the
 largest entry magnitude component is 1, is built the first time a
@@ -24,11 +29,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple, Sequence
 
 from .exact import (Basis, Key, Matrix, Scalar, _image_rows, _insert,
                     _key_parts, _key_rank, _projective_keys, _rotation,
-                    _square_size, primitive, rank, rank_one_factor)
+                    _square_size, rank, rank_one_factor)
 
 
 @dataclass(frozen=True)
@@ -44,66 +50,83 @@ class Caps:
 
 
 KeyRows = tuple[tuple[tuple[int, int], ...], ...]
-Nonzeros = list[tuple[int, int]]
+Parts = list[tuple[int, int, int]]
 
 
-def _key_rows(key: Key, n: int) -> KeyRows:
+def _key_rows(key: Key, n: int) -> tuple[KeyRows, int]:
     """The nonzero entries of each row of the w x w image of an n x n
-    matrix's key, placed for every row of a left factor.
+    matrix's key, and the bitmask of its nonzero image rows.
 
     The image is the key itself at real width (w = n) and the key over
-    its rotation at block-row width (w = 2n).  Part p = i*w + k of a
-    left key multiplies row k of the image into row i of the product,
-    so row p lists the pairs ``(i*w + j, f_kj)`` for the nonzero entries
-    f_kj of that row: the offset in the product that the term adds to,
-    and f_kj itself.  Each generator class is turned into rows once, so
-    a product term is one multiply-add, and a zero part of the left key
-    costs nothing.
+    its rotation at block-row width (w = 2n).  Row k lists the pairs
+    ``(j, f_kj)`` for the nonzero entries f_kj of image row k: a left
+    key's part i*w + k times it adds to part i*w + j of the product.
+    Each generator class is laid out once, w rows that serve every row
+    of a left factor, so a product term is one multiply-add; bit k of
+    the mask is set when row k has an entry.
     """
-    image = _image_rows(key, n, n)
-    w = len(image)
-    nw = n * w
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(nw)]
-    for k, row in enumerate(image):
-        for j, u in enumerate(row):
-            if u:
-                for i in range(0, nw, w):
-                    rows[i + k].append((i + j, u))
-    return tuple(map(tuple, rows))
+    rows = tuple(tuple((j, u) for j, u in enumerate(row) if u)
+                 for row in _image_rows(key, n, n))
+    return rows, sum(1 << k for k, row in enumerate(rows) if row)
 
 
-def _nonzeros(key: Key) -> Nonzeros:
-    """The (index, part) pairs of a key's nonzero parts."""
-    return [(p, x) for p, x in enumerate(key) if x]
+def _nonzeros(key: Key, w: int) -> tuple[Parts, int]:
+    """A key's nonzero parts, each as ``(i*w, k, part)`` for its row i
+    and the image row k it multiplies, and the bitmask of the image rows
+    they read.
+
+    A product with a layout of ``_key_rows`` whose mask shares no bit
+    with this one multiplies every nonzero part by a zero row: it is the
+    zero key.
+    """
+    parts = []
+    mask = 0
+    for p, x in enumerate(key):
+        if x:
+            k = p % w
+            parts.append((p - k, k, x))
+            mask |= 1 << k
+    return parts, mask
 
 
 class _Generators(NamedTuple):
     """A generator set as integers: its size n, its projective keys in
     input order (repeats included, one width) and its positive-scaling
     classes in input order, each as its first occurrence's index and
-    rows.  A repeat's products are positive multiples of its first
-    occurrence's, so products with generators read ``classes`` only."""
+    the image rows and their mask of ``_key_rows``.  A repeat's products
+    are positive multiples of its first occurrence's, so products with
+    generators read ``classes`` only."""
 
     n: int
     keys: list[Key]
-    classes: list[tuple[int, KeyRows]]
+    classes: list[tuple[int, KeyRows, int]]
 
     @classmethod
     def of(cls, gens: Sequence[Matrix]) -> "_Generators":
         n = _square_size(gens)
         keys = _projective_keys(gens)
-        return cls(n, keys, [(keys.index(k), _key_rows(k, n))
+        return cls(n, keys, [(keys.index(k), *_key_rows(k, n))
                              for k in dict.fromkeys(keys)])
 
 
-def _key_product(a: Nonzeros, brows: KeyRows) -> Key:
-    """Key of the product of the matrix whose key has the nonzero parts
-    a (``_nonzeros``) and the one whose key has rows brows."""
-    out = [0] * len(brows)
-    for p, x in a:
-        for o, u in brows[p]:
-            out[o] += x * u
-    return primitive(out)
+def _key_product(a: Parts, rows: KeyRows, size: int) -> Key:
+    """Key, of ``size`` parts, of the product of the matrix whose key has
+    the nonzero parts a (``_nonzeros``) and the one laid out as rows
+    (``_key_rows``).
+
+    Callers skip the pairs whose masks share no bit: their product is
+    the zero key ``(0,) * size``, which this also returns for them.  A
+    part that reads a zero image row adds nothing, and the sum is
+    divided by its positive gcd here, as ``exact.primitive`` does.
+    """
+    out = [0] * size
+    for base, k, x in a:
+        for j, u in rows[k]:
+            out[base + j] += x * u
+    g = gcd(*out)
+    if g > 1:
+        return tuple([y // g for y in out])
+    return tuple(out)
 
 
 def _canonical_from_key(key: Key, rows: int, cols: int,
@@ -231,24 +254,30 @@ def generate_closure(gens: Sequence[Matrix],
     positive-scaling class of the semigroup: scalars commute past
     products.  The search runs on projective keys of the generator
     set's width, so each step is one integer product and one gcd
-    division.  A member's nonzero parts are listed once and go into
-    every product it is the left factor of.  One-letter words and
-    products come from the record's ``classes``: a repeat gives the
-    class of its first occurrence's product, which is tried first, so
-    it could neither add a member nor end the search.  Members keep
-    their keys and build their max-part-1 canonical form only when it
-    is read.  Discovery order is by word length, then lexicographic
-    word, so runs are reproducible.  The first product that would
-    exceed a cap marks the closure truncated and ends the search.  The
-    closure keeps its ``_Generators`` outside its fields, so equality
-    and repr do not see it.
+    division.  A member's nonzero parts are listed once, with the mask
+    of the image rows they read, and go into every product it is the
+    left factor of; a class whose mask of nonzero image rows shares no
+    bit with it gives the zero key, the key the product would have made,
+    with nothing multiplied.  One-letter words and products come from
+    the record's ``classes``: a repeat gives the class of its first
+    occurrence's product, which is tried first, so it could neither add
+    a member nor end the search.  Members keep their keys and build
+    their max-part-1 canonical form only when it is read.  Discovery
+    order is by word length, then lexicographic word, so runs are
+    reproducible.  The first product that would exceed a cap marks the
+    closure truncated and ends the search.  The closure keeps its
+    ``_Generators`` outside its fields, so equality and repr do not see
+    it.
     """
     record = _Generators.of(gens)
     n, gkeys, classes = record
+    size = len(gkeys[0])
+    w = size // n
+    zero = (0,) * size
     product = _key_product
     words: dict[Key, tuple[int, ...]] = {
         gkeys[gi]: _extend_word((), gi)
-        for gi, _ in classes[:caps.max_elements]}
+        for gi, _, _ in classes[:caps.max_elements]}
     truncated = len(classes) > caps.max_elements
     order = list(words)
     qi = 0
@@ -257,9 +286,9 @@ def generate_closure(gens: Sequence[Matrix],
         qi += 1
         word = words[u]
         extendable = len(word) < caps.max_word_length
-        nonzeros = _nonzeros(u)
-        for gi, g in classes:
-            c = product(nonzeros, g)
+        nonzeros, mask = _nonzeros(u, w)
+        for gi, rows, rmask in classes:
+            c = product(nonzeros, rows, size) if mask & rmask else zero
             if c in words:
                 continue
             if not extendable or len(words) >= caps.max_elements:
@@ -291,34 +320,40 @@ def algebra_dimension(gens: Sequence[Matrix]) -> int:
     """Dimension of the algebra spanned by the matrices and the identity.
 
     The span is grown from the identity by multiplying new basis
-    elements by generators on the right until it stabilises.  Every
-    basis element is a word and every right product of one lies in the
-    span, so the span is closed under right multiplication by the
-    generators; as it contains I, it contains every word.  Matrices
-    enter as projective keys (a positive scaling does not change a
-    span) and grow an echelon basis.  At block-row width every row that
-    enters brings its rotation, the key of i times it, so the rational
-    span of the keys is the complex span of the matrices and has twice
-    its dimension.  The value is the same over any field extending the
-    rationals because ranks of rational matrices do not change under
-    field extension.
+    elements by generators on the right until it stabilises or is the
+    whole space.  Every basis element is a word and every right product
+    of one lies in the span, so the span is closed under right
+    multiplication by the generators; as it contains I, it contains
+    every word.  Matrices enter as projective keys (a positive scaling
+    does not change a span) and grow an echelon basis.  At block-row
+    width every row that enters brings its rotation, the key of i times
+    it, so the rational span of the keys is the complex span of the
+    matrices and has twice its dimension.  The value is the same over
+    any field extending the rationals because ranks of rational matrices
+    do not change under field extension.
     """
     return _span_dimension(_Generators.of(gens))
 
 
 def _span_dimension(record: _Generators) -> int:
     """``algebra_dimension`` of the generators with this record, spanned
-    by products with its ``classes``."""
+    by products with its ``classes``.
+
+    A product whose masks share no bit is the zero key, which never
+    enters the basis, so it is not made.  The search stops as soon as
+    the basis has n*w rows, as many as a key has parts: every later
+    product would lie in its span.
+    """
     n, keys, classes = record
-    w = len(keys[0]) // n
+    size = len(keys[0])
+    w = size // n
     identity = tuple(int(i == j) for i in range(n) for j in range(w))
-    dim_target = len(identity)
     basis: Basis = []
 
     def try_add(row: Key) -> bool:
         if not _insert(basis, row):
             return False
-        if len(row) > n * n:
+        if size > n * n:
             # iX is never in a rotation-closed span that lacks X, so
             # it always enters too
             _insert(basis, _rotation(basis[-1][1], n))
@@ -326,16 +361,19 @@ def _span_dimension(record: _Generators) -> int:
 
     try_add(identity)
     frontier = [identity]
-    while frontier and len(basis) < dim_target:
+    while frontier and len(basis) < size:
         nxt: list[Key] = []
         for m in frontier:
-            nonzeros = _nonzeros(m)
-            for _, g in classes:
-                prod = _key_product(nonzeros, g)
-                if try_add(prod):
-                    nxt.append(prod)
+            nonzeros, mask = _nonzeros(m, w)
+            for _, rows, rmask in classes:
+                if mask & rmask:
+                    prod = _key_product(nonzeros, rows, size)
+                    if try_add(prod):
+                        if len(basis) == size:
+                            return n * n
+                        nxt.append(prod)
         frontier = nxt
-    return len(basis) // (dim_target // (n * n))
+    return len(basis) // (size // (n * n))
 
 
 def is_irreducible(gens: Sequence[Matrix]) -> bool:

@@ -560,28 +560,40 @@ def _seeded_plants():
 
 def test_closures_multiply_once_per_generator_class(monkeypatch):
     # a repeat of a class only repeats its first occurrence's products,
-    # so a complete closure makes one product per member and class
+    # and a member that reads only image rows a class has zero gives
+    # the zero key without a product: a complete closure makes exactly
+    # one product per member and class whose supports meet
     import matsemi.semigroup as sg
+    from matsemi.exact import _image_rows
 
     product = sg._key_product
     count = [0]
 
-    def counting(a, brows):
+    def counting(*args):
         count[0] += 1
-        return product(a, brows)
+        return product(*args)
 
     monkeypatch.setattr(sg, "_key_product", counting)
-    complete = repeated = 0
+    complete = repeated = skipped = 0
     for gens, _ in _seeded_plants():
         count[0] = 0
         closure = generate_closure(gens, PLANT_CAPS)
         if closure.truncated:
             continue
-        classes = len(set(closure._gens.keys))
-        assert count[0] == len(closure.elements) * classes
+        n, keys = closure._gens.n, closure._gens.keys
+        w = len(keys[0]) // n
+        # part i*w + k of a member's key multiplies image row k
+        reads = [{p % w for p, x in enumerate(e._key) if x}
+                 for e in closure.elements]
+        nonzero = [{k for k, row in enumerate(_image_rows(key, n, n))
+                    if any(row)} for key in dict.fromkeys(keys)]
+        meet = sum(bool(r & z) for r in reads for z in nonzero)
+        assert count[0] == meet
         complete += 1
-        repeated += classes < len(gens)
-    assert complete >= 20 and repeated >= 5, (complete, repeated)
+        repeated += len(nonzero) < len(gens)
+        skipped += meet < len(closure.elements) * len(nonzero)
+    assert complete >= 20 and repeated >= 5 and skipped >= 15, (
+        complete, repeated, skipped)
 
 
 def test_pipeline_ops_key_their_generators_once(monkeypatch):

@@ -301,19 +301,11 @@ def _first_occurrences(gens):
 
 @pytest.mark.parametrize("gaussian", [False, True])
 def test_closure_with_repeated_classes_matches_fraction_reference(
-        gaussian, monkeypatch):
+        gaussian):
     # a copy, a x2 and a x1/3 multiple of random generators, inserted
     # anywhere: the closure multiplies by first occurrences only, and
     # words, members and truncation stay those of every generator,
     # also when the search ends on a product that a repeat follows
-    product = semigroup._key_product
-    last = []
-
-    def recording(a, brows):
-        last[:] = [brows]
-        return product(a, brows)
-
-    monkeypatch.setattr(semigroup, "_key_product", recording)
     rng = random.Random(31031 + gaussian)
     repeat_follows = 0
     for k in range(80):
@@ -322,19 +314,36 @@ def test_closure_with_repeated_classes_matches_fraction_reference(
             else ("weighted_monomial", "outer")))
         caps = Caps(max_elements=rng.choice((6, 25, 60)),
                     max_word_length=rng.choice((2, 3, 6)))
-        last.clear()
         got = generate_closure(gens, caps)
         want = reference_closure(gens, caps)
         assert [e.word for e in got.elements] == \
             [e.word for e in want.elements]
         assert got.canonical_matrices() == want.canonical_matrices()
         assert got.truncated == want.truncated
-        if got.truncated and last:
+        gi = _last_product_class(got, gens) if got.truncated else None
+        if gi is not None:
             keys = got._gens.keys
-            gi = next(i for i, r in got._gens.classes if r is last[0])
             repeat_follows += any(keys[j] in keys[:j]
                                   for j in range(gi + 1, len(keys)))
     assert repeat_follows >= 20, repeat_follows
+
+
+def _last_product_class(closure, gens):
+    """The generator index of the class whose product ended a truncated
+    search, or None if no product did.
+
+    Every product the search tried before the last one was a member or
+    became one, so the last one is the first (member, class) product,
+    in search order, outside the closure; it is made here with Fraction
+    matrices, so skipped products count too.
+    """
+    members = set(closure.canonical_matrices())
+    firsts = [gi for gi, _, _ in closure._gens.classes]
+    if len(closure.elements) < len(firsts):
+        return None
+    return next((gi for e in closure.elements for gi in firsts
+                 if reference_canonical(e.canonical @ gens[gi])
+                 not in members), None)
 
 
 @pytest.mark.parametrize("gaussian", [False, True])
@@ -377,9 +386,9 @@ def test_algebra_span_multiplies_by_generator_classes(gaussian, monkeypatch):
     product = semigroup._key_product
     count = [0]
 
-    def counting(a, brows):
+    def counting(*args):
         count[0] += 1
-        return product(a, brows)
+        return product(*args)
 
     monkeypatch.setattr(semigroup, "_key_product", counting)
     rng = random.Random(5151 + gaussian)
@@ -462,10 +471,116 @@ def test_sparse_key_product_matches_dense_reference(gaussian):
         a = _random_key(rng, n, gaussian, sa)
         b = _random_key(rng, n, gaussian, sb)
         want = reference_key_product(a, b, n)
-        assert _key_product(_nonzeros(layout(a, n)),
-                            _key_rows(layout(b, n), n)) == layout(want, n)
+        ka = layout(a, n)
+        parts, _ = _nonzeros(ka, len(ka) // n)
+        rows, _ = _key_rows(layout(b, n), n)
+        assert _key_product(parts, rows, len(ka)) == layout(want, n)
         seen.update((sa, sb))
     assert seen == set(_KEY_SHAPES)
+
+
+def _support_key(rng, n, gaussian, shape):
+    """A reference key of a dense, a monomial or an outer-product matrix;
+    the outer product's factors are zero in about half their entries,
+    and its Gaussian entries may be real or imaginary."""
+    if shape != "outer":
+        return _random_key(rng, n, gaussian, shape)
+    units = (1, -1, 2, -2)
+
+    def factor():
+        out = []
+        for _ in range(n):
+            x = (rng.choice(units), 0) if rng.random() < 0.5 else (0, 0)
+            if gaussian and x[0]:
+                x = rng.choice((x, (0, x[0]), (x[0], rng.choice(units))))
+            out.append(x)
+        return out
+
+    key = []
+    for a, b in factor():
+        for c, d in factor():
+            key += [a * c - b * d, a * d + b * c]
+    return tuple(key)
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_disjoint_masks_give_the_zero_key(gaussian):
+    # a member whose nonzero parts read only image rows that a class has
+    # zero has the zero key as its product with the class; wherever the
+    # masks meet, the kernel makes the reference product
+    rng = random.Random(7171 + gaussian)
+    layout = _block_row if gaussian else _real_parts
+    shapes = ("dense", "monomial", "outer", "outer")
+    # [[1, 1], [0, 0]] (or i times it) times [[1, 0], [-1, 0]] cancels
+    # although the masks meet
+    top = (0, 1, 0, 1) if gaussian else (1, 0, 1, 0)
+    pairs = [(2, top + (0,) * 4, (1, 0, 0, 0, -1, 0, 0, 0))]
+    for _ in range(800):
+        n = rng.randint(2, 4)
+        pairs.append((n, _support_key(rng, n, gaussian, rng.choice(shapes)),
+                      _support_key(rng, n, gaussian, rng.choice(shapes))))
+    disjoint = meet = cancelled = 0
+    for n, a, b in pairs:
+        want = layout(reference_key_product(a, b, n), n)
+        ka = layout(a, n)
+        parts, mask = _nonzeros(ka, len(ka) // n)
+        rows, rmask = _key_rows(layout(b, n), n)
+        if mask & rmask:
+            assert _key_product(parts, rows, len(ka)) == want
+            meet += 1
+            cancelled += not any(want)
+        else:
+            assert want == (0,) * len(ka)
+            disjoint += 1
+    assert disjoint >= 100 and meet >= 300 and cancelled, (
+        disjoint, meet, cancelled)
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_closure_truncated_on_a_new_zero_product(gaussian):
+    # E12 E12 = 0 by disjoint supports, and so is (i E12)(i E12): the
+    # zero class enters without a product, and the caps end the search
+    # on it as on any new member
+    e12 = Matrix.from_rows([[0, Scalar(0, 1) if gaussian else 1, 0],
+                            [0, 0, 0], [0, 0, 0]])
+    gens = [e12, M([[0, 0, 0], [0, 0, 1], [0, 0, 0]])]
+    zero = Matrix.zeros(3, 3)
+    on_zero = complete = 0
+    for m in range(1, 7):
+        for length in range(1, 5):
+            caps = Caps(max_elements=m, max_word_length=length)
+            got = generate_closure(gens, caps)
+            want = reference_closure(gens, caps)
+            assert [e.word for e in got.elements] == \
+                [e.word for e in want.elements]
+            assert got.canonical_matrices() == want.canonical_matrices()
+            assert got.truncated == want.truncated
+            members = got.canonical_matrices()
+            on_zero += got.truncated and zero not in members and m >= 2
+            complete += not got.truncated and zero in members
+    assert on_zero >= 4 and complete >= 4, (on_zero, complete)
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_span_stops_once_the_basis_is_full(gaussian, monkeypatch):
+    # the search ends with the product that fills the basis: no row is
+    # cleared against a full basis, and the dimension is unchanged
+    insert = semigroup._insert
+    late = [0]
+
+    def counting(basis, row):
+        late[0] += len(basis) >= len(row)
+        return insert(basis, row)
+
+    monkeypatch.setattr(semigroup, "_insert", counting)
+    rng = random.Random(6161 + gaussian)
+    full = 0
+    for _ in range(60):
+        gens = _random_generators(rng, gaussian, ("dense", "monomial"))
+        dim = algebra_dimension(gens)
+        assert dim == reference_algebra_dimension(gens)
+        full += dim == gens[0].rows ** 2
+    assert late[0] == 0 and full >= 25, (late[0], full)
 
 
 def test_projective_canonical_matches_reference():
@@ -513,14 +628,16 @@ def test_algebra_dimension_matches_scalar_reference():
 def test_width_follows_generators(gaussian, monkeypatch):
     # a silent fall-back to block-row keys would give the same answers
     # at twice the cost: record the width of every left factor, which
-    # has one part per row of the layout it is multiplied by
+    # reads one row of the layout it is multiplied by per part of its rows
     product = semigroup._key_product
     widths = set()
 
-    def recording(a, brows):
-        assert all(p < len(brows) for p, _ in a)
-        widths.add(len(brows))
-        return product(a, brows)
+    def recording(a, rows, size):
+        w = len(rows)
+        assert all(k < w and base % w == 0 and base + w <= size
+                   for base, k, _ in a)
+        widths.add((size, w))
+        return product(a, rows, size)
 
     monkeypatch.setattr(semigroup, "_key_product", recording)
     rng = random.Random(515 + gaussian)
@@ -538,7 +655,11 @@ def test_width_follows_generators(gaussian, monkeypatch):
         assert got.canonical_matrices() == want.canonical_matrices()
         assert got.truncated == want.truncated
         assert algebra_dimension(gens) == reference_algebra_dimension(gens)
-        assert widths == {(2 if gaussian else 1) * n * n}
+        # only a set of zero generators makes no product: every one
+        # has disjoint masks
+        w = (2 if gaussian else 1) * n
+        nonzero = any(not g.is_zero() for g in gens)
+        assert widths == ({(n * w, w)} if nonzero else set())
 
 
 def _monomial_generators(rng, gaussian):
